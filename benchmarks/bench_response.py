@@ -6,8 +6,8 @@ power-to-temperature strategies, slowest first:
 * ``sparse_baseline`` — the kernel disabled (``REPRO_RESPONSE_DISABLE``),
   every ladder probe a factorized sparse solve;
 * ``response_cold`` — the kernel enabled with empty caches, so each
-  geometry pays one multi-RHS build and then answers every subsequent
-  probe with a dense matvec;
+  geometry pays one structured operator build and then answers every
+  subsequent probe with a dense matvec;
 * ``response_warm`` — a pre-populated on-disk operator store, the
   steady state of a worker fleet: geometries mmap-load their operators
   and never touch the sparse solver at all.

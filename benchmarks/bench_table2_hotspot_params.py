@@ -37,7 +37,7 @@ def build_table2() -> list[tuple[str, str]]:
 def assemble_network():
     stack = uniform_stack(get_chip("low-power-cmp"), 4)
     net = build_network(stack, get_cooling("water"))
-    net.conductance_matrix()   # forces assembly + factorization
+    net.solve({})   # forces assembly + factorization
     return net
 
 

@@ -20,7 +20,7 @@ manifest is stripped — and records the outcome in the JSON.
 the superposition kernel's power-to-temperature strategies —
 ``sparse_perstep`` (``REPRO_RESPONSE_DISABLE`` set, one factorized
 sparse solve per ladder step), ``sparse_batched`` (multi-RHS probes),
-``response_cold`` (empty caches: one multi-RHS operator build per
+``response_cold`` (empty caches: one structured operator build per
 geometry, then dense matvecs), and ``response_warm`` (a pre-populated
 on-disk operator store, the steady state of a worker fleet: mmap
 loads, no sparse solver at all). It records the warm-vs-per-step
@@ -291,7 +291,7 @@ def bench_response_grid(grid: str, chip: str, max_chips: int,
 
         with _response_env(store=store):
             # cold: an empty store, so the timing includes one
-            # multi-RHS operator build per geometry
+            # structured operator build per geometry
             shutil.rmtree(store, ignore_errors=True)
             t0 = time.perf_counter()
             _run_campaign(points, workers=None, probe_batch=probe,

@@ -237,10 +237,20 @@ class ServeHTTPServer(ThreadingHTTPServer):
         return f"http://{host}:{port}"
 
     def serve_in_thread(self) -> threading.Thread:
-        """Run the listener on a daemon thread (tests, benches)."""
-        thread = threading.Thread(target=self.serve_forever,
-                                  kwargs={"poll_interval": 0.05},
-                                  name="serve-http", daemon=True)
+        """Run the listener on a daemon thread (tests, benches).
+
+        The listening socket is closed as soon as ``serve_forever``
+        returns (``POST /shutdown`` included), so later connections are
+        refused instead of queueing in the kernel with nobody to answer.
+        """
+        def serve() -> None:
+            try:
+                self.serve_forever(poll_interval=0.05)
+            finally:
+                self.server_close()
+
+        thread = threading.Thread(target=serve, name="serve-http",
+                                  daemon=True)
         thread.start()
         return thread
 

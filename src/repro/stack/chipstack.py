@@ -53,6 +53,8 @@ class StackConfig:
     def die_floorplans(self) -> tuple[Floorplan, ...]:
         """Per-die floorplans, bottom first, rotations applied."""
         base = self.chip.floorplan()
+        if not any(self.effective_rotations):
+            return (base,) * self.n_chips
         flipped = rotate_180(base)
         return tuple(
             flipped if rot else base for rot in self.effective_rotations

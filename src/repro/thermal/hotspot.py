@@ -1,9 +1,9 @@
 """High-level HotSpot-like facade.
 
 :class:`ThermalModel` wraps one (stack, cooling) configuration: it
-builds and factorizes the network once, then answers steady-state
-worst-case queries at any VFS step. This is the object the frequency
-optimizer and the sweep drivers hold onto.
+builds the network once, then answers steady-state worst-case queries
+at any VFS step. This is the object the frequency optimizer and the
+sweep drivers hold onto.
 """
 
 from __future__ import annotations
@@ -41,15 +41,15 @@ if TYPE_CHECKING:  # avoid a circular import; only needed for annotations
 class ThermalModel:
     """Steady-state thermal model of one stack under one cooling option.
 
-    The conductance matrix depends only on the configuration, so the
-    sparse LU factorization is computed once and reused for every
-    frequency. Die-observable queries go further: they resolve the
-    geometry's :class:`~repro.thermal.response.ResponseOperator`
-    (content-addressed, shared in memory and on disk across models and
-    processes) and answer from ``t0 + R @ p`` — a dense matvec with no
-    sparse solve at all. Full-stack queries (:meth:`result`,
-    :meth:`results_many`) and runs with ``REPRO_RESPONSE_DISABLE`` set
-    fall back to the sparse path.
+    Die-observable queries resolve the geometry's
+    :class:`~repro.thermal.response.ResponseOperator` (content-addressed,
+    shared in memory and on disk across models and processes, built
+    without any sparse factorization) and answer from ``t0 + R @ p`` —
+    a dense matvec with no sparse solve at all. Full-stack queries
+    (:meth:`result`, :meth:`results_many`) and runs with
+    ``REPRO_RESPONSE_DISABLE`` set take the sparse path, which
+    factorizes the conductance matrix once and reuses it for every
+    frequency.
 
     Args:
         stack: the 3-D chip stack.
@@ -230,8 +230,9 @@ class ModelCache:
 
     Args:
         capacity: maximum number of resident models (>= 1). Each entry
-            holds a sparse LU factorization, so the bound is a real
-            memory bound, not bookkeeping.
+            holds its assembled network, plus a sparse LU factorization
+            once a sparse query has run, so the bound is a real memory
+            bound, not bookkeeping.
     """
 
     def __init__(self, capacity: int = 128) -> None:
@@ -311,7 +312,7 @@ def model_for(chip_name: str, n_chips: int, cooling_name: str,
     """Memoized model lookup for library chips and cooling options.
 
     Sweeps over (chips x coolants x stack heights) revisit configurations
-    constantly; the cache keeps each factorization alive (bounded LRU —
+    constantly; the cache keeps each built model alive (bounded LRU —
     see :class:`ModelCache` for capacity control and statistics).
     """
     key = (chip_name, n_chips, tuple(rotations), cooling_name, params)

@@ -8,12 +8,14 @@ system
 where G is the (symmetric positive definite) conductance matrix, P the
 per-cell injected power, and B the diagonal of boundary conductances
 (each multiplied by its own ambient temperature on the right-hand
-side). G depends only on geometry/materials/boundaries, so the network
-factorizes G once (sparse LU via ``scipy.sparse.linalg.splu``) and
-re-uses the factor for every power vector — the frequency optimizer
-solves the same network at many VFS steps, and the guides' advice to
-lean on SciPy's sparse solvers and amortize factorizations applies
-directly.
+side). G depends only on geometry/materials/boundaries. Assembly and
+factorization are separate, lazy steps: :meth:`conductance_matrix`,
+:meth:`boundary_conductances` and :meth:`heat_balance` only assemble
+(the structured die-stack solver in :mod:`repro.thermal.stacksolve`
+reads G and needs nothing more), while the first :meth:`solve` /
+:meth:`solve_many` factorizes G once (sparse LU via
+``scipy.sparse.linalg.splu``) and re-uses the factor for every later
+power vector.
 """
 
 from __future__ import annotations
@@ -119,7 +121,6 @@ class ThermalNetwork:
         self._n = off
         self._lu = None
         self._g: csc_matrix | None = None
-        self._rhs_const: np.ndarray | None = None
         self._boundary_g: np.ndarray | None = None
         self._boundary_tamb: np.ndarray | None = None
 
@@ -219,15 +220,8 @@ class ThermalNetwork:
             g_t[sl] += g_cell * b.t_ambient_c
         return g, g_t
 
-    def _factorize(self) -> None:
-        t0 = time.perf_counter()
-        with span("thermal.factorize", nodes=self._n):
-            self._factorize_inner()
-        counter("thermal.splu_factorizations").inc()
-        histogram("thermal.factorize_seconds").observe(
-            time.perf_counter() - t0)
-
-    def _factorize_inner(self) -> None:
+    def _assemble(self) -> None:
+        """Build G and the boundary terms (no factorization)."""
         rows: list = []
         cols: list = []
         vals: list = []
@@ -243,10 +237,20 @@ class ThermalNetwork:
         r = np.concatenate([np.asarray(a).ravel() for a in rows])
         c = np.concatenate([np.asarray(a).ravel() for a in cols])
         v = np.concatenate([np.asarray(a).ravel() for a in vals])
-        g = coo_matrix((v, (r, c)), shape=(self._n, self._n)).tocsc()
-        self._g = g
+        self._g = coo_matrix((v, (r, c)), shape=(self._n, self._n)).tocsc()
         self._boundary_g = bg
         self._boundary_tamb = bgt
+
+    def _factorize(self) -> None:
+        t0 = time.perf_counter()
+        with span("thermal.factorize", nodes=self._n):
+            self._factorize_inner()
+        counter("thermal.splu_factorizations").inc()
+        histogram("thermal.factorize_seconds").observe(
+            time.perf_counter() - t0)
+
+    def _factorize_inner(self) -> None:
+        g = self.conductance_matrix()
         try:
             self._lu = splu(g)
         except RuntimeError as exc:
@@ -258,7 +262,7 @@ class ThermalNetwork:
         # solve injecting 1 W everywhere — a floating island turns that
         # into an inconsistent system, so the answer goes non-finite or
         # enormous instead of staying physical.
-        probe = self._lu.solve(bgt + 1.0)
+        probe = self._lu.solve(self._boundary_tamb + 1.0)
         if not np.all(np.isfinite(probe)) or np.abs(probe).max() > 1e12:
             raise SingularNetworkError(
                 "conductance matrix is singular (a layer or island has no "
@@ -366,7 +370,7 @@ class ThermalNetwork:
         suite checks conservation to machine precision.
         """
         if self._boundary_g is None:
-            self._factorize()
+            self._assemble()
         injected = float(sum(np.asarray(a).sum() for a in power_w.values()))
         t = np.concatenate([result.layer(la.name).ravel()
                             for la in self.layers])
@@ -374,16 +378,22 @@ class ThermalNetwork:
         return injected, extracted
 
     def conductance_matrix(self) -> csc_matrix:
-        """The assembled G matrix (for tests and the transient solver)."""
+        """The assembled G matrix; assembles but never factorizes."""
         if self._g is None:
-            self._factorize()
+            self._assemble()
         return self._g
 
     def boundary_conductances(self) -> np.ndarray:
         """Per-node boundary conductance diagonal (W/K)."""
         if self._boundary_g is None:
-            self._factorize()
+            self._assemble()
         return self._boundary_g.copy()
+
+    def boundary_source(self) -> np.ndarray:
+        """Per-node boundary term ``B T_amb`` of the right-hand side (W)."""
+        if self._boundary_tamb is None:
+            self._assemble()
+        return self._boundary_tamb.copy()
 
     def capacitance_vector(self) -> np.ndarray:
         """Per-node heat capacities (J/K), for the transient solver."""

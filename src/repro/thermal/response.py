@@ -10,10 +10,11 @@ of ``R`` is the temperature rise per watt injected into one floorplan
 block of one die. Both depend only on the *geometry* — network
 structure, materials, and the cooling boundary — not on the operating
 point. A frequency ladder, a bracket search, or a leakage fixed-point
-therefore needs exactly one factorized multi-RHS solve (one unit-power
-right-hand side per block) to build ``R``; every query after that is a
-dense matvec, with no sparse solver, no rasterization, and no
-factorization in the loop.
+therefore needs ``R`` built once (one unit-power column per block, by
+the structured die-stack solve of :mod:`repro.thermal.stacksolve`,
+which never factorizes G); every query after that is a dense matvec,
+with no sparse solver, no rasterization, and no factorization in the
+loop.
 
 Two cache tiers make the operator outlive the model that built it:
 
@@ -62,6 +63,7 @@ from ..stack.chipstack import StackConfig
 from .network import ThermalNetwork
 from .package import DEFAULT_PACKAGE, PackageParams, build_network, \
     die_layer_names
+from .stacksolve import DieStackSolver
 
 if TYPE_CHECKING:  # avoid a circular import; only needed for annotations
     from ..cooling.options import CoolingOption
@@ -79,7 +81,7 @@ __all__ = [
     "response_enabled",
 ]
 
-RESPONSE_SCHEMA_VERSION = 1
+RESPONSE_SCHEMA_VERSION = 2
 
 #: Setting this (to anything but "" / "0") disables the superposition
 #: kernel entirely: every query falls back to the sparse solver. Used
@@ -300,17 +302,26 @@ class ResponseOperator:
                    block_names=tuple(meta["block_names"]))
 
 
+def _unit_power_basis(fp, grid: int) -> np.ndarray:
+    """``(grid**2, blocks)`` cell watts of 1 W in each block, in
+    floorplan declaration order."""
+    return np.stack([fp.power_map({b.name: 1.0}, grid, grid).ravel()
+                     for b in fp.blocks], axis=1)
+
+
 def build_response_operator(stack: StackConfig, cooling: "CoolingOption",
                             params: PackageParams = DEFAULT_PACKAGE, *,
                             network: ThermalNetwork | None = None
                             ) -> ResponseOperator:
     """Compute one geometry's response operator from first principles.
 
-    One multi-RHS solve against the factorized network: the ambient-only
+    Solves the network in its die-stack structure
+    (:class:`~repro.thermal.stacksolve.DieStackSolver`): the ambient-only
     system plus one unit-power right-hand side per (die, block) basis
-    column. Cost is a single factorization plus ``1 + dies x blocks``
-    triangular solves — after which every operating point the geometry
-    is ever asked about is a matvec.
+    column, as dense GEMMs in the dies' shared lateral eigenbasis, with
+    no sparse factorization. Each distinct die floorplan (a rotation
+    schedule has at most two) is rasterized into its unit-power basis
+    once.
 
     Args:
         stack: the chip stack (defines dies, rotations, block basis).
@@ -319,6 +330,9 @@ def build_response_operator(stack: StackConfig, cooling: "CoolingOption",
         network: reuse an already-built network (e.g. the owning
             :class:`~repro.thermal.hotspot.ThermalModel`'s) instead of
             assembling a fresh one.
+
+    Raises:
+        ThermalModelError: the network's dies lack the shared structure.
     """
     if network is None:
         network = build_network(stack, cooling, params)
@@ -331,22 +345,11 @@ def build_response_operator(stack: StackConfig, cooling: "CoolingOption",
     t_start = time.perf_counter()
     with span("response.build", digest=digest[:12],
               dies=len(die_names), blocks=len(block_names)):
-        rhs_maps: list[dict[str, np.ndarray]] = [{}]
-        for die, fp in zip(die_names, fps):
-            for b in fp.blocks:
-                rhs_maps.append({die: fp.power_map({b.name: 1.0}, g, g)})
-        results = network.solve_many(rhs_maps)
-
-        n_rows = len(die_names) * g * g
-        arr = np.empty((n_rows, len(rhs_maps)))
-
-        def die_vector(res) -> np.ndarray:
-            return np.concatenate([res.layer(d).ravel() for d in die_names])
-
-        t0 = die_vector(results[0])
-        arr[:, 0] = t0
-        for j, res in enumerate(results[1:]):
-            arr[:, j + 1] = die_vector(res) - t0
+        rotations = stack.effective_rotations
+        basis = {rot: _unit_power_basis(fp, g)
+                 for rot, fp in dict(zip(rotations, fps)).items()}
+        arr = DieStackSolver(network, die_names).response(
+            [basis[rot] for rot in rotations])
     build_s = time.perf_counter() - t_start
     counter("response.builds").inc()
     histogram("response.build_seconds").observe(build_s)

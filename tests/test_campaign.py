@@ -172,32 +172,34 @@ class TestCampaignRuns:
                                                    fast_params,
                                                    monkeypatch):
         """Acceptance: resume recomputes nothing for finished points,
-        verified by counting sparse solver invocations."""
-        from repro.thermal.network import ThermalNetwork
-        ck = tmp_path / "c.json"
-        solves = []
-        real_solve = ThermalNetwork.solve
-        real_solve_many = ThermalNetwork.solve_many
-        monkeypatch.setattr(
-            ThermalNetwork, "solve",
-            lambda self, maps: solves.append(1) or real_solve(self, maps))
-        monkeypatch.setattr(
-            ThermalNetwork, "solve_many",
-            lambda self, seq: solves.append(1) or real_solve_many(self,
-                                                                  seq))
+        verified from cold caches by counting response-operator builds
+        and sparse solves."""
+        from repro.obs import get_registry
+        from repro.thermal.hotspot import model_cache
+        from repro.thermal.response import STORE_DIR_ENV, response_cache
+        monkeypatch.delenv(STORE_DIR_ENV, raising=False)
 
+        def work() -> int:
+            """Operator builds plus sparse solves so far, caches emptied."""
+            model_cache().clear()
+            response_cache().clear()
+            c = get_registry().snapshot()["counters"]
+            return c.get("response.builds", 0) + c.get("thermal.solves", 0)
+
+        ck = tmp_path / "c.json"
+        before = work()
         first = CampaignRunner(self.grid(), resilience=options(),
                                checkpoint_path=ck,
                                params=fast_params).run()
         assert first.evaluated == 4 and first.skipped == 0
-        assert len(solves) > 0
+        assert work() > before
 
-        solves.clear()
+        before = work()
         second = CampaignRunner(self.grid(), resilience=options(),
                                 checkpoint_path=ck,
                                 params=fast_params).run(resume=True)
         assert second.evaluated == 0 and second.skipped == 4
-        assert solves == []
+        assert work() == before
         assert second.summary()["ok"] == first.summary()["ok"]
 
     def test_resume_reattempts_failed_and_clears_ledger(self, tmp_path,

@@ -82,22 +82,29 @@ class TestModelCache:
 # -- solver / resilience counters -------------------------------------------
 
 class TestPipelineCounters:
-    def test_solver_counters_tick(self, fast_params):
+    def test_solver_counters_tick(self, fast_params, monkeypatch):
         from repro.cooling.options import get_cooling
         from repro.power.processors import get_chip
         from repro.stack.chipstack import StackConfig
         from repro.thermal import response_cache
         from repro.thermal.hotspot import ThermalModel
+        from repro.thermal.response import DISABLE_ENV, STORE_DIR_ENV
+        monkeypatch.delenv(STORE_DIR_ENV, raising=False)
         response_cache().clear()
+        stack = StackConfig(chip=get_chip("low-power-cmp"), n_chips=1)
         fact0 = counter_value("thermal.splu_factorizations")
+        builds0 = counter_value("response.builds")
+        ThermalModel(stack, get_cooling("water"),
+                     fast_params).max_temperature_c(2.0e9)
+        # A cold operator query builds the geometry's response operator
+        # through the structured die-stack solve: no sparse factorization.
+        assert counter_value("response.builds") == builds0 + 1
+        assert counter_value("thermal.splu_factorizations") == fact0
+        # The kill switch answers through the sparse solver instead.
+        monkeypatch.setenv(DISABLE_ENV, "1")
         solve0 = counter_value("thermal.solves")
-        model = ThermalModel(
-            StackConfig(chip=get_chip("low-power-cmp"), n_chips=1),
-            get_cooling("water"), fast_params)
-        model.max_temperature_c(2.0e9)
-        # The superposition kernel answers this by building the
-        # geometry's response operator: one factorization, one
-        # multi-RHS solve counting each unit-power column as a solve.
+        ThermalModel(stack, get_cooling("water"),
+                     fast_params).max_temperature_c(2.0e9)
         assert counter_value("thermal.splu_factorizations") == fact0 + 1
         assert counter_value("thermal.solves") > solve0
         hist = get_registry().histogram("thermal.solve_seconds")

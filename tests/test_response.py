@@ -17,7 +17,11 @@ The response operator's contract has three legs, each pinned here:
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -25,12 +29,16 @@ import pytest
 from repro.cooling.options import get_cooling
 from repro.core.campaign import CampaignRunner, frequency_grid
 from repro.core.feedback import solve_with_leakage_feedback
+from repro.errors import SingularNetworkError, ThermalModelError
 from repro.obs import get_registry
 from repro.power.processors import get_chip
 from repro.stack.chipstack import StackConfig, flip_even_layers
 from repro.thermal.hotspot import ThermalModel
+from repro.thermal.network import ThermalNetwork
+from repro.thermal.package import build_network
 from repro.thermal.response import (
     DISABLE_ENV,
+    RESPONSE_SCHEMA_VERSION,
     STORE_DIR_ENV,
     ResponseCache,
     ResponseStore,
@@ -57,24 +65,83 @@ def _sparse_reference(stack, cooling, params, p):
     return tuple(res.max_of(d) for d in die_layer_names(stack))
 
 
+#: Stacks checked against the sparse solve: (height, rotation schedule,
+#: (die_grid, package_grid) or None for ``fast_params``). The ids
+#: "False" / "True" are the uniform and flipped 3-stacks by their
+#: original names.
+STACK_CASES = (
+    pytest.param(3, "uniform", None, id="False"),
+    pytest.param(3, "flipped", None, id="True"),
+    pytest.param(1, "uniform", None, id="h1"),
+    pytest.param(9, "random", None, id="h9-random"),
+    pytest.param(15, "random", None, id="h15-random"),
+    pytest.param(6, "random", (12, 5), id="h6-random-grid12x5"),
+)
+
+
 class TestExactness:
     """R @ P against the sparse solver — the kernel's admission gate."""
 
     @pytest.mark.parametrize("cooling_name", ALL_COOLINGS)
-    @pytest.mark.parametrize("flipped", (False, True))
-    def test_random_power_maps_match_sparse(self, cooling_name, flipped,
-                                            fast_params):
+    @pytest.mark.parametrize("n_chips,schedule,grids", STACK_CASES)
+    def test_random_power_maps_match_sparse(self, cooling_name, n_chips,
+                                            schedule, grids, fast_params):
         chip = get_chip("low-power-cmp")
-        stack = (flip_even_layers(chip, 3) if flipped
-                 else StackConfig(chip=chip, n_chips=3))
-        cooling = get_cooling(cooling_name)
-        op = build_response_operator(stack, cooling, fast_params)
         rng = np.random.default_rng(2019)
+        if schedule == "random":
+            flips = np.random.default_rng(n_chips).integers(0, 2, n_chips)
+            rotations = tuple(bool(r) for r in flips)
+        else:
+            rotations = (flip_even_layers(chip, n_chips).rotations
+                         if schedule == "flipped" else ())
+        stack = StackConfig(chip=chip, n_chips=n_chips, rotations=rotations)
+        params = (fast_params if grids is None else
+                  replace(fast_params, die_grid=grids[0],
+                          package_grid=grids[1]))
+        cooling = get_cooling(cooling_name)
+        op = build_response_operator(stack, cooling, params)
         for _ in range(3):
             p = rng.uniform(0.0, 2.0, size=op.n_cols)
             got = op.per_die_max(op.temperatures(p))
-            want = _sparse_reference(stack, cooling, fast_params, p)
+            want = _sparse_reference(stack, cooling, params, p)
             assert got == pytest.approx(want, abs=1e-9)
+
+    @pytest.mark.parametrize("cooling_name", ("air", "water_pipe", "water"))
+    def test_t0_is_the_ambient(self, cooling_name, fast_params):
+        """With no power injected every die sits at the ambient."""
+        stack = flip_even_layers(get_chip("low-power-cmp"), 6)
+        op = build_response_operator(stack, get_cooling(cooling_name),
+                                     fast_params)
+        np.testing.assert_allclose(op.t0, fast_params.ambient_c,
+                                   rtol=0, atol=1e-9)
+
+    def test_dies_without_a_shared_lateral_block_are_rejected(
+            self, fast_params):
+        """The structured build checks the die structure instead of
+        assuming it: one die with another in-plane conductivity is a
+        network it cannot solve."""
+        stack = StackConfig(chip=get_chip("low-power-cmp"), n_chips=3)
+        cooling = get_cooling("water")
+        net = build_network(stack, cooling, fast_params)
+        layers = [replace(la, k_lateral_w_mk=la.k_lateral * 1.5)
+                  if la.name == "die1" else la for la in net.layers]
+        odd = ThermalNetwork(layers, net.interfaces, net.boundaries)
+        with pytest.raises(ThermalModelError, match="lateral"):
+            build_response_operator(stack, cooling, fast_params,
+                                    network=odd)
+
+    def test_floating_die_stack_is_singular(self, fast_params):
+        """Dies with no path to the package have no steady state."""
+        stack = StackConfig(chip=get_chip("low-power-cmp"), n_chips=2)
+        cooling = get_cooling("water")
+        net = build_network(stack, cooling, fast_params)
+        dies = {"die0", "die1"}
+        inside = [itf for itf in net.interfaces
+                  if (itf.lower in dies) == (itf.upper in dies)]
+        floating = ThermalNetwork(net.layers, inside, net.boundaries)
+        with pytest.raises(SingularNetworkError):
+            build_response_operator(stack, cooling, fast_params,
+                                    network=floating)
 
     def test_ladder_queries_match_sparse_fallback(self, fast_params,
                                                   monkeypatch):
@@ -139,7 +206,8 @@ class TestGeometryDigest:
                             fast_params)
         assert a == b
 
-    def test_geometry_changes_change_the_digest(self, fast_params):
+    def test_geometry_changes_change_the_digest(self, fast_params,
+                                                monkeypatch):
         chip = get_chip("low-power-cmp")
         base = geometry_digest(StackConfig(chip, 3), get_cooling("water"),
                                fast_params)
@@ -152,6 +220,12 @@ class TestGeometryDigest:
         coarser = replace(fast_params, die_grid=4)
         assert geometry_digest(StackConfig(chip, 3),
                                get_cooling("water"), coarser) != base
+        # operators an older builder wrote to a store (same geometry,
+        # other last bits) are never served next to new builds
+        monkeypatch.setattr("repro.thermal.response.RESPONSE_SCHEMA_VERSION",
+                            RESPONSE_SCHEMA_VERSION - 1)
+        assert geometry_digest(StackConfig(chip, 3),
+                               get_cooling("water"), fast_params) != base
 
     def test_power_model_does_not_affect_the_digest(self, fast_params):
         """Two chips sharing a floorplan share operators."""
@@ -278,3 +352,28 @@ class TestCheckpointByteIdentity:
                 f"with a {'warm' if workers else 'cold'} operator store")
         # the store was actually exercised
         assert list(store.glob("*.npy"))
+
+    def test_operator_bits_do_not_depend_on_blas_threads(self):
+        """Stores and checkpoints stay byte-identical across hosts whose
+        BLAS runs another number of threads (default package grids, so
+        the package solve is big enough for BLAS to thread)."""
+        import repro
+        src = str(Path(repro.__file__).resolve().parents[1])
+        code = (
+            "import hashlib\n"
+            "from repro.cooling.options import get_cooling\n"
+            "from repro.power.processors import get_chip\n"
+            "from repro.stack.chipstack import flip_even_layers\n"
+            "from repro.thermal.response import build_response_operator\n"
+            "op = build_response_operator(flip_even_layers(\n"
+            "    get_chip('low-power-cmp'), 3), get_cooling('water'))\n"
+            "print(hashlib.sha256(op.arr.tobytes()).hexdigest())\n")
+        digests = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                       OMP_NUM_THREADS=threads, PYTHONPATH=src)
+            out = subprocess.run([sys.executable, "-c", code], env=env,
+                                 capture_output=True, text=True,
+                                 timeout=120, check=True)
+            digests.append(out.stdout.strip())
+        assert digests[0] == digests[1]

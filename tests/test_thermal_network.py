@@ -11,7 +11,7 @@ from repro.errors import SingularNetworkError, ThermalModelError
 from repro.floorplan.geometry import Rect
 from repro.thermal.layers import Boundary, GridLayer, Interface, overlap_matrix
 from repro.thermal.materials import COPPER, SILICON, TIM
-from repro.thermal.network import ThermalNetwork
+from repro.thermal.network import ThermalNetwork, ThermalResult
 
 
 def slab(name="slab", side=0.01, t=1e-3, mat=SILICON, n=4, **kw):
@@ -257,6 +257,25 @@ class TestTwoLayers:
             pm = np.zeros((4, 4)); pm[2, 2] = 4.0
             return net.solve({"a": pm}).max_of("a")
         assert max_t(1000.0) < max_t(10.0)
+
+
+class TestAssemblyOnly:
+    def test_assembly_queries_do_not_factorize(self, monkeypatch):
+        """G, its boundary terms and the heat balance need no LU (the
+        structured die-stack solver reads G and never factorizes)."""
+        import repro.thermal.network as netmod
+
+        def no_splu(g):
+            raise AssertionError("assembly queries must not factorize")
+
+        monkeypatch.setattr(netmod, "splu", no_splu)
+        net = simple_network(t_amb=30.0)
+        assert net.conductance_matrix().shape == (16, 16)
+        bg = net.boundary_conductances()
+        np.testing.assert_allclose(net.boundary_source(), 30.0 * bg)
+        at_ambient = ThermalResult({"slab": np.full((4, 4), 30.0)})
+        inj, ext = net.heat_balance({}, at_ambient)
+        assert inj == 0.0 and ext == pytest.approx(0.0, abs=1e-12)
 
 
 class TestSingularDetection:
