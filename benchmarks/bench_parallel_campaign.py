@@ -1,16 +1,11 @@
-"""Campaign-engine trajectory — serial seed path vs batched vs workers.
+"""Campaign-engine trajectory — one worker vs two.
 
-Times the same Fig. 7-family frequency-grid campaign through each
-execution strategy, oldest first, so the tracked benchmark history
-shows what every layer bought:
+Times the same Fig. 7-family frequency-grid campaign on the campaign
+engine at each worker count:
 
-* ``serial_seed`` — the pre-engine baseline: legacy serial loop with
-  probe-at-a-time bisection and a fresh model per point;
-* ``batched`` — the same serial loop with multi-RHS batched ladder
-  probes (one (n, k) triangular-solve block per probe round);
-* ``workers2`` — the parallel engine at 2 processes (batched probes
-  plus the shared bounded model cache), which additionally asserts the
-  engine guarantee: its checkpoint is byte-identical to the serial
+* ``serial_seed`` — one worker, every chunk inline (the reference);
+* ``workers2`` — 2 worker processes, which additionally asserts the
+  engine guarantee: its checkpoint is byte-identical to the one-worker
   one after stripping the timestamped manifest.
 
 ``scripts/bench_to_json.py`` measures the same trajectory on the full
@@ -25,7 +20,6 @@ import json
 import os
 from pathlib import Path
 
-from repro.core import freqopt
 from repro.core.campaign import CampaignRunner, frequency_grid
 from repro.thermal.hotspot import model_cache
 
@@ -64,21 +58,15 @@ def test_cpu_count_recorded(save_artifact, capsys):
     assert cores >= 1
 
 
-def run_campaign(tmpdir: Path, *, workers, probe_batch=None):
+def run_campaign(tmpdir: Path, *, workers):
     """One frequency-grid campaign from scratch (the timed unit)."""
     model_cache().clear()
-    checkpoint = tmpdir / f"cp_{workers}_{probe_batch}.json"
+    checkpoint = tmpdir / f"cp_{workers}.json"
     if checkpoint.exists():
         checkpoint.unlink()
-    prior = freqopt.DEFAULT_PROBE_BATCH
-    if probe_batch is not None:
-        freqopt.DEFAULT_PROBE_BATCH = probe_batch
-    try:
-        points = frequency_grid("low-power-cmp", CHIPS, COOLS)
-        result = CampaignRunner(points, checkpoint_path=checkpoint,
-                                workers=workers).run(resume=False)
-    finally:
-        freqopt.DEFAULT_PROBE_BATCH = prior
+    points = frequency_grid("low-power-cmp", CHIPS, COOLS)
+    result = CampaignRunner(points, checkpoint_path=checkpoint,
+                            workers=workers).run(resume=False)
     return result, checkpoint
 
 
@@ -89,13 +77,7 @@ def _stripped(checkpoint: Path) -> str:
 
 
 def test_campaign_serial_seed(benchmark, tmp_path):
-    result, _ = benchmark(run_campaign, tmp_path, workers=None,
-                          probe_batch=1)
-    assert result.summary()["failed"] == 0
-
-
-def test_campaign_batched(benchmark, tmp_path):
-    result, _ = benchmark(run_campaign, tmp_path, workers=None)
+    result, _ = benchmark(run_campaign, tmp_path, workers=1)
     assert result.summary()["failed"] == 0
 
 
@@ -106,12 +88,12 @@ def test_campaign_workers2(benchmark, tmp_path):
 
 def test_workers_checkpoint_matches_serial(tmp_path, save_artifact):
     """The engine guarantee the benches ride on: same bytes, any workers."""
-    _, serial_cp = run_campaign(tmp_path / "serial", workers=None)
+    _, serial_cp = run_campaign(tmp_path / "serial", workers=1)
     _, w2_cp = run_campaign(tmp_path / "w2", workers=2)
     identical = _stripped(serial_cp) == _stripped(w2_cp)
     save_artifact(
         "parallel_campaign_identity",
-        f"serial vs --workers 2 checkpoint "
+        f"--workers 1 vs --workers 2 checkpoint "
         f"({len(CHIPS) * len(COOLS)} points, manifest stripped): "
         f"{'identical' if identical else 'DIVERGED'}")
     assert identical

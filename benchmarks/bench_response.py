@@ -42,8 +42,8 @@ def run_campaign(tmpdir: Path, tag: str):
     if checkpoint.exists():
         checkpoint.unlink()
     points = frequency_grid("low-power-cmp", CHIPS, COOLS)
-    return CampaignRunner(points, checkpoint_path=checkpoint,
-                          workers=None).run(resume=False)
+    return CampaignRunner(points,
+                          checkpoint_path=checkpoint).run(resume=False)
 
 
 def _env(monkeypatch, *, disable: bool, store: Path | None):

@@ -2,26 +2,23 @@
 """Measure performance trajectories -> BENCH_<bench>.json.
 
 ``--bench parallel`` (the default) times the same frequency-grid
-campaign (the Figs. 7/8 families) through each execution strategy the
-engine stacked up, oldest first:
+campaign (the Figs. 7/8 families) on the campaign engine at each
+worker count:
 
-* ``serial_seed``   — the pre-engine baseline: legacy serial loop,
-  probe-at-a-time bisection, a fresh model per point;
-* ``batched``       — legacy serial loop with multi-RHS batched ladder
-  probes (:meth:`ThermalNetwork.solve_many`);
-* ``workers_N``     — the parallel engine at N processes (batched
-  probes + the shared bounded model cache), for each requested N.
+* ``serial_seed``   — one worker, every chunk inline (the reference);
+* ``workers_N``     — N worker processes, for each requested N.
 
 It also verifies the engine's core guarantee — the ``--workers 2``
-checkpoint is byte-identical to the serial one once the (timestamped)
-manifest is stripped — and records the outcome in the JSON.
+checkpoint is byte-identical to the one-worker one once the
+(timestamped) manifest is stripped — and records the outcome in the
+JSON.
 
 ``--bench response`` times the same frequency-ladder campaigns through
 the superposition kernel's power-to-temperature strategies —
 ``sparse_perstep`` (``REPRO_RESPONSE_DISABLE`` set, one factorized
-sparse solve per ladder step), ``sparse_batched`` (multi-RHS probes),
-``response_cold`` (empty caches: one structured operator build per
-geometry, then dense matvecs), and ``response_warm`` (a pre-populated
+sparse solve per ladder step), ``response_cold`` (empty caches: one
+structured operator build per geometry, then dense matvecs), and
+``response_warm`` (a pre-populated
 on-disk operator store, the steady state of a worker fleet: mmap
 loads, no sparse solver at all). It records the warm-vs-per-step
 speedup per grid and exits nonzero unless every grid's frequency
@@ -99,7 +96,6 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from repro.core import freqopt                       # noqa: E402
 from repro.core.campaign import (                    # noqa: E402
     CampaignRunner,
     frequency_grid,
@@ -136,31 +132,25 @@ def _cpu_warning(workers_list) -> str | None:
     return None
 
 
-def _run_campaign(points, *, workers, probe_batch, tmpdir) -> Path:
+def _run_campaign(points, *, workers, tmpdir) -> Path:
     """One full campaign from scratch; returns its checkpoint path."""
     model_cache().clear()
     response_cache().clear()
-    checkpoint = Path(tmpdir) / f"cp_w{workers}_b{probe_batch}.json"
+    checkpoint = Path(tmpdir) / f"cp_w{workers}.json"
     if checkpoint.exists():
         checkpoint.unlink()
-    prior = freqopt.DEFAULT_PROBE_BATCH
-    freqopt.DEFAULT_PROBE_BATCH = probe_batch
-    try:
-        CampaignRunner(points, checkpoint_path=checkpoint,
-                       workers=workers).run(resume=False)
-    finally:
-        freqopt.DEFAULT_PROBE_BATCH = prior
+    CampaignRunner(points, checkpoint_path=checkpoint,
+                   workers=workers).run(resume=False)
     return checkpoint
 
 
-def _time_mode(points, *, workers, probe_batch, tmpdir,
+def _time_mode(points, *, workers, tmpdir,
                repeat: int) -> tuple[float, Path]:
     best = float("inf")
     checkpoint = None
     for _ in range(repeat):
         t0 = time.perf_counter()
-        checkpoint = _run_campaign(points, workers=workers,
-                                   probe_batch=probe_batch, tmpdir=tmpdir)
+        checkpoint = _run_campaign(points, workers=workers, tmpdir=tmpdir)
         best = min(best, time.perf_counter() - t0)
     return best, checkpoint
 
@@ -193,7 +183,7 @@ class _response_env:
 
 def bench_grid(grid: str, chip: str, max_chips: int,
                workers_list: list[int], repeat: int) -> dict:
-    """The full mode trajectory for one figure grid.
+    """The worker-count trajectory for one figure grid.
 
     Every mode runs against a shared warm response-operator store (one
     untimed warmup populates it), so the worker modes measure the
@@ -205,22 +195,14 @@ def bench_grid(grid: str, chip: str, max_chips: int,
     with tempfile.TemporaryDirectory() as tmpdir:
         store = Path(tmpdir) / "opstore"
         with _response_env(store=store):
-            _run_campaign(points, workers=None,
-                          probe_batch=freqopt.DEFAULT_PROBE_BATCH,
+            _run_campaign(points, workers=1,
                           tmpdir=tmpdir)       # warm the operator store
             modes["serial_seed"], serial_cp = _time_mode(
-                points, workers=None, probe_batch=1, tmpdir=tmpdir,
-                repeat=repeat)
-            modes["batched"], _ = _time_mode(
-                points, workers=None,
-                probe_batch=freqopt.DEFAULT_PROBE_BATCH, tmpdir=tmpdir,
-                repeat=repeat)
+                points, workers=1, tmpdir=tmpdir, repeat=repeat)
             identical = None
             for n in workers_list:
                 modes[f"workers_{n}"], cp = _time_mode(
-                    points, workers=n,
-                    probe_batch=freqopt.DEFAULT_PROBE_BATCH,
-                    tmpdir=tmpdir, repeat=repeat)
+                    points, workers=n, tmpdir=tmpdir, repeat=repeat)
                 if identical is None:
                     identical = (_strip_manifest(cp)
                                  == _strip_manifest(serial_cp))
@@ -264,16 +246,14 @@ def bench_response_grid(grid: str, chip: str, max_chips: int,
 
     ``sparse_perstep`` (the speedup denominator) is the pre-kernel
     path the paper figures were first reproduced with: kernel disabled,
-    one factorized sparse solve per ladder step. ``sparse_batched``
-    adds multi-RHS probes; the response modes replace the solves with
-    dense matvecs. The fast modes take the minimum of at least three
+    one factorized sparse solve per ladder step. The response modes
+    replace the solves with dense matvecs. The fast modes take the minimum of at least three
     runs (a single 0.5s run is jitter-bound on shared CI); the cold
     mode times one run — its operator builds dwarf the noise.
     """
     import shutil
     points = frequency_grid(chip, tuple(range(1, max_chips + 1)),
                             PAPER_COOLS)
-    probe = freqopt.DEFAULT_PROBE_BATCH
     repeat_fast = max(repeat, 3)
     modes: dict[str, float] = {}
     with tempfile.TemporaryDirectory() as tmpdir:
@@ -281,28 +261,22 @@ def bench_response_grid(grid: str, chip: str, max_chips: int,
 
         with _response_env(disable=True):
             modes["sparse_perstep"], sparse_cp = _time_mode(
-                points, workers=None, probe_batch=1, tmpdir=tmpdir,
-                repeat=repeat_fast)
+                points, workers=1, tmpdir=tmpdir, repeat=repeat_fast)
             sparse_frontier = Path(tmpdir) / "sparse_frontier.json"
             shutil.copy(sparse_cp, sparse_frontier)
-            modes["sparse_batched"], _ = _time_mode(
-                points, workers=None, probe_batch=probe, tmpdir=tmpdir,
-                repeat=repeat_fast)
 
         with _response_env(store=store):
             # cold: an empty store, so the timing includes one
             # structured operator build per geometry
             shutil.rmtree(store, ignore_errors=True)
             t0 = time.perf_counter()
-            _run_campaign(points, workers=None, probe_batch=probe,
-                          tmpdir=tmpdir)
+            _run_campaign(points, workers=1, tmpdir=tmpdir)
             modes["response_cold"] = time.perf_counter() - t0
 
             # warm: the store the cold run left behind — mmap loads
             # and dense matvecs, no sparse solver at all
             modes["response_warm"], warm_cp = _time_mode(
-                points, workers=None, probe_batch=probe, tmpdir=tmpdir,
-                repeat=repeat_fast)
+                points, workers=1, tmpdir=tmpdir, repeat=repeat_fast)
             matches = _frontier_matches(sparse_frontier, warm_cp,
                                         temp_tol=1e-6)
             operators = len(list(store.glob("*.npy")))

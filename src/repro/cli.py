@@ -215,9 +215,9 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
     )
     runner = CampaignRunner(points, resilience=options,
                             checkpoint_path=args.checkpoint,
-                            point_timeout_s=args.timeout,
                             workers=args.workers,
                             chunk_size=args.chunk_size,
+                            chunk_timeout_s=args.chunk_timeout,
                             response_cache_dir=args.response_cache_dir)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", DegradedResultWarning)
@@ -630,10 +630,10 @@ def build_parser() -> argparse.ArgumentParser:
     add_chip(p, default="low-power-cmp")
     p.add_argument("--max-chips", type=int, default=15)
     p.add_argument("--cooling", nargs="*", default=None)
-    p.add_argument("--workers", type=int, default=None, metavar="N",
+    p.add_argument("--workers", type=int, default=1, metavar="N",
                    help="evaluate sweep points over N worker processes "
-                        "(default: in-process serial; results are "
-                        "identical either way)")
+                        "(default 1: inline; results are identical at "
+                        "every worker count)")
     add_response_cache(p)
     p.set_defaults(func=_cmd_sweep)
 
@@ -683,7 +683,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cooling", nargs="*", default=None)
     p.add_argument("--checkpoint", default="campaign.json",
                    help="JSON checkpoint path (rewritten after every "
-                        "point)")
+                        "chunk; see --chunk-size)")
     p.add_argument("--resume", action="store_true",
                    help="skip points already finished in the checkpoint; "
                         "re-attempt failed ones")
@@ -693,22 +693,28 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--allow-degraded", action="store_true",
                    help="permit analytic-model fallback when the "
                         "sparse-LU tier fails (results tagged degraded)")
-    p.add_argument("--timeout", type=float, default=None,
-                   help="per-point wall-clock budget in seconds")
+    p.add_argument("--chunk-timeout", type=float, default=None,
+                   metavar="SECONDS",
+                   help="per-chunk wall-clock budget; an overrunning "
+                        "chunk's worker is killed and its points "
+                        "become poison, which --resume re-attempts "
+                        "(runs chunks in a supervised worker even at "
+                        "--workers 1)")
     p.add_argument("--inject", nargs="*", default=None,
                    metavar="KIND[:PROB[:MAX]]",
                    help="fault injection for testing, e.g. "
-                        "'singular:0.5' 'timeout:0.3:2'")
+                        "'singular:0.1:1' 'timeout:0.3:2'; MAX caps "
+                        "fires per point")
     p.add_argument("--seed", type=int, default=0,
                    help="seed for fault injection and retry jitter")
-    p.add_argument("--workers", type=int, default=None, metavar="N",
-                   help="run the campaign on the parallel engine with "
-                        "N worker processes (N=1 runs the engine "
-                        "inline); records, checkpoints, and ledgers "
-                        "are identical at every worker count")
+    p.add_argument("--workers", type=int, default=1, metavar="N",
+                   help="worker processes (default 1: inline); "
+                        "records, checkpoints, and ledgers are "
+                        "identical at every worker count")
     p.add_argument("--chunk-size", type=int, default=None, metavar="K",
                    help="points per scheduled chunk; the checkpoint is "
-                        "rewritten after each chunk (default: auto)")
+                        "rewritten after each chunk (default: auto, at "
+                        "most 8)")
     add_response_cache(p)
     p.set_defaults(func=_cmd_campaign)
 

@@ -3,11 +3,12 @@
 The paper's figures come from grids of operating points (chip x stack
 height x cooling option). A naive loop dies on the first singular
 network or NaN and loses every finished point; :class:`CampaignRunner`
-instead executes the grid point by point with
+instead executes the grid in chunks of points on the
+:mod:`repro.parallel` engine with
 
 * per-point retry/backoff and graceful degradation
   (:mod:`repro.resilience`);
-* a JSON checkpoint rewritten atomically after every point, so a
+* a JSON checkpoint rewritten atomically after every chunk, so a
   killed campaign resumes without recomputing finished work;
 * a structured failure ledger (config, exception class, rungs tried,
   attempts) instead of an abort;
@@ -38,14 +39,12 @@ from ..errors import (
     ConfigurationError,
     InfeasibleError,
     ReproError,
-    TransientSolverError,
 )
 from ..obs import (
     build_manifest,
     config_hash,
     counter,
     get_registry,
-    get_tracer,
     log_event,
     span,
     write_manifest,
@@ -71,7 +70,7 @@ def _payload_digest(payload: dict) -> str:
     """SHA-256 over the checkpoint's *stable* content.
 
     The manifest is excluded: it carries timestamps and host facts, and
-    serial-vs-parallel byte comparisons strip it already. Everything
+    worker-count byte comparisons strip it already. Everything
     resume actually consumes — version, points, ledger — is covered.
     """
     stable = {"version": payload.get("version"),
@@ -357,21 +356,17 @@ class CampaignResult:
 
 def evaluate_point(point: CampaignPoint,
                    resilience: ResilienceOptions,
-                   params: PackageParams = DEFAULT_PACKAGE, *,
-                   share_models: bool = False) -> PointRecord:
+                   params: PackageParams = DEFAULT_PACKAGE
+                   ) -> PointRecord:
     """Evaluate one grid point through the degradation ladder.
 
     This is the default evaluator; :class:`CampaignRunner` accepts any
     callable with this signature (tests substitute counting wrappers).
-    ``share_models`` routes the sparse-LU rung through the bounded
-    :class:`~repro.thermal.hotspot.ModelCache` so repeated geometries
-    reuse their factorization (see :func:`~repro.resilience.degrade.
-    freq_point_rungs`); results are identical either way.
     """
     ladder = DegradationLadder(freq_point_rungs(
         point.chip, point.n_chips, point.cooling,
         threshold_c=point.threshold_c, params=params,
-        injector=resilience.injector, share_models=share_models))
+        injector=resilience.injector))
     with span("thermal.ladder", key=point.key):
         outcome = ladder.run(retry_policy=resilience.retry_policy,
                              sleep=resilience.sleep,
@@ -426,91 +421,22 @@ def evaluate_point(point: CampaignPoint,
     )
 
 
-def _evaluate_point_shared(point: CampaignPoint,
-                           resilience: ResilienceOptions,
-                           params: PackageParams = DEFAULT_PACKAGE
-                           ) -> PointRecord:
-    """:func:`evaluate_point` with the model cache on (module-level so
-    pool workers can pickle it)."""
-    return evaluate_point(point, resilience, params, share_models=True)
-
-
-class _PointTimeout:
-    """Per-point wall-clock budgets through one reusable worker thread.
-
-    The runner used to build a fresh single-thread executor for every
-    point; this keeps one alive for the whole run. A timed-out
-    evaluation cannot be killed — its thread keeps running — so on
-    timeout the executor is abandoned (shutdown *without* waiting, the
-    old per-point version blocked on the stuck thread) and lazily
-    replaced, keeping later points from queueing behind it.
-    """
-
-    def __init__(self, timeout_s: float | None) -> None:
-        self.timeout_s = timeout_s
-        self._pool = None
-
-    def call(self, fn: Callable, *args):
-        """Run ``fn(*args)``, bounding how long we wait for it.
-
-        The helper thread inherits the calling thread's trace context
-        (remote parent), so spans opened inside a timed evaluation stay
-        attached to the enclosing ``campaign.point`` instead of
-        starting orphan roots on the worker thread.
-        """
-        if self.timeout_s is None:
-            return fn(*args)
-        from concurrent.futures import ThreadPoolExecutor
-        from concurrent.futures import TimeoutError as FutureTimeout
-        if self._pool is None:
-            self._pool = ThreadPoolExecutor(max_workers=1)
-        tracer = get_tracer()
-        ctx = tracer.propagation_context()
-        if ctx is None:
-            fut = self._pool.submit(fn, *args)
-        else:
-            def _with_trace_ctx():
-                tracer.set_remote_parent(ctx.get("parent_id"))
-                try:
-                    return fn(*args)
-                finally:
-                    tracer.set_remote_parent(None)
-            fut = self._pool.submit(_with_trace_ctx)
-        try:
-            return fut.result(timeout=self.timeout_s)
-        except FutureTimeout:
-            fut.cancel()
-            pool, self._pool = self._pool, None
-            pool.shutdown(wait=False, cancel_futures=True)
-            counter("campaign.point_timeouts").inc()
-            raise TransientSolverError(
-                f"evaluation exceeded its {self.timeout_s:g} s budget"
-            ) from None
-
-    def close(self) -> None:
-        """Release the worker thread (no-op when never used)."""
-        if self._pool is not None:
-            self._pool.shutdown(wait=False, cancel_futures=True)
-            self._pool = None
-
-
 def _evaluate_guarded(point: CampaignPoint,
                       resilience: ResilienceOptions,
                       params: PackageParams,
                       evaluator: Callable,
-                      timeout: _PointTimeout,
                       config_hash: str
                       ) -> tuple[PointRecord, LedgerEntry | None]:
     """One point, end to end: evaluate, classify, record.
 
     The single source of truth for how an evaluation outcome maps to a
     (:class:`PointRecord`, optional :class:`LedgerEntry`) pair — the
-    serial loop and every pool worker go through here, which is what
-    makes parallel and serial checkpoints byte-identical.
+    inline engine and every pool worker go through here, which is what
+    makes checkpoints byte-identical at every worker count.
     """
     try:
         with span("campaign.point", key=point.key, kind=point.kind):
-            record = timeout.call(evaluator, point, resilience, params)
+            record = evaluator(point, resilience, params)
     except InfeasibleError as exc:
         return PointRecord(point=point, status="infeasible",
                            errors=(str(exc),), attempts=1), None
@@ -549,7 +475,6 @@ class _WorkerPayload:
     fault_seed: int | None       # None = no injector configured
     fault_enabled: bool
     params: PackageParams
-    point_timeout_s: float | None
     config_hash: str
     sleep: Callable[[float], None] | None = None
 
@@ -571,32 +496,24 @@ def _point_resilience(payload: _WorkerPayload,
                              sleep=payload.sleep)
 
 
-_PROCESS_TIMEOUT: _PointTimeout | None = None
-
-
-def _process_timeout(timeout_s: float | None) -> _PointTimeout:
-    """The process-wide timeout runner for pool workers."""
-    global _PROCESS_TIMEOUT
-    if (_PROCESS_TIMEOUT is None
-            or _PROCESS_TIMEOUT.timeout_s != timeout_s):
-        if _PROCESS_TIMEOUT is not None:
-            _PROCESS_TIMEOUT.close()
-        _PROCESS_TIMEOUT = _PointTimeout(timeout_s)
-    return _PROCESS_TIMEOUT
-
-
 def _eval_point_task(payload: _WorkerPayload, point: CampaignPoint
                      ) -> tuple[PointRecord, LedgerEntry | None]:
     """The pool task: one guarded point evaluation (module-level for
     pickling)."""
     return _evaluate_guarded(
         point, _point_resilience(payload, point), payload.params,
-        payload.evaluator, _process_timeout(payload.point_timeout_s),
-        payload.config_hash)
+        payload.evaluator, payload.config_hash)
 
 
 class CampaignRunner:
     """Execute a grid of points with checkpointing and a failure ledger.
+
+    Every campaign runs on the :mod:`repro.parallel` engine: pending
+    points are chunked, each point draws its fault-injector stream from
+    (campaign seed, point key), and the checkpoint is rewritten after
+    every chunk — so records, checkpoints, and ledgers are identical
+    at every worker count. ``max_fires`` in a fault spec therefore caps
+    fires per point, not across the campaign.
 
     Args:
         points: the grid (see :func:`frequency_grid` / :func:`npb_grid`).
@@ -604,45 +521,24 @@ class CampaignRunner:
         checkpoint_path: JSON checkpoint location (None = in-memory
             only, no resume across processes).
         params: package parameters forwarded to the thermal models.
-        point_timeout_s: wall-clock budget per point, enforced through
-            a worker thread. A point that exceeds it is recorded as a
-            retryable :class:`~repro.errors.TransientSolverError`
-            failure (the thread itself cannot be killed; the budget
-            bounds how long the campaign *waits*, not the solver).
         evaluator: override for the per-point evaluation (tests). Must
-            be picklable (module-level) when ``workers`` is set.
-        workers: None = the legacy in-process loop (shared injector
-            state, checkpoint after every point). An int >= 1 selects
-            the :mod:`repro.parallel` engine: per-point injector
-            streams derived from (seed, point key), chunked scheduling,
-            checkpoint after every chunk — and identical results,
-            checkpoints, and ledgers at every worker count. Note the
-            stream split changes fault *budget* scope: ``max_fires``
-            caps fires per point on the engine path, but across the
-            whole campaign (in visit order) on the legacy path — a
-            global budget is order-dependent and cannot survive
-            parallel scheduling.
+            be picklable (module-level) when chunks run in worker
+            processes (``workers > 1``, ``process_faults`` or
+            ``chunk_timeout_s``).
+        workers: worker processes (>= 1). At 1 the engine runs every
+            chunk inline, unless a chunk deadline or a process fault
+            plan needs the supervised pool.
         chunk_size: points per scheduled chunk (None = auto).
-        share_models: route the default evaluator's sparse-LU rung
-            through the bounded :class:`~repro.thermal.hotspot.
-            ModelCache` so points revisiting one geometry (retries,
-            mixed freq+npb grids) reuse the factorization. None (the
-            default) enables it exactly when the parallel engine is
-            selected (``workers`` set); the legacy serial path keeps
-            its deliberate fresh-build behaviour. Results are identical
-            either way — only ``thermal.model_cache_*`` counters and
-            wall-clock change. Ignored for custom evaluators.
         process_faults: optional
             :class:`~repro.resilience.faults.ProcessFaultPlan` executed
-            inside the pool workers (``repro chaos``). Requires
-            ``workers`` — process faults are meaningless without the
-            supervised pool to recover from them. Chunks that crash
-            their worker past the quarantine threshold land in the
-            ledger as ``poison`` points instead of aborting the run.
+            inside the pool workers (``repro chaos``). Chunks that
+            crash their worker past the quarantine threshold land in
+            the ledger as ``poison`` points instead of aborting the run.
         chunk_timeout_s: wall-clock budget per *chunk* enforced by the
-            supervisor — unlike ``point_timeout_s`` (a worker-thread
-            wait bound), blowing this budget kills and restarts the
-            worker process, so even a hard-wedged solver is recovered.
+            supervisor: a chunk that overruns it has its worker process
+            killed and is retried, so even a hard-wedged solver is
+            recovered; past ``max_point_crashes`` its points become
+            ``poison`` records, which resume re-attempts.
         heartbeat_timeout_s: supervisor silence budget per worker
             (None disables heartbeat monitoring).
         max_point_crashes: quarantine threshold forwarded to the
@@ -654,12 +550,12 @@ class CampaignRunner:
             inherit it and warm each other's operators across runs.
 
     The campaign config hash deliberately excludes ``workers``,
-    ``chunk_size``, ``share_models``, ``response_cache_dir``, and the
-    supervision timeouts: execution strategy changes how fast the
-    answer arrives, not what it is, and ledger entries from a 4-worker
-    re-run must tie to the same manifest as the serial original. ``process_faults`` *is*
-    hashed (only when set — existing hashes are unchanged): injected
-    crashes change which points finish.
+    ``chunk_size``, ``response_cache_dir``, and the supervision
+    timeouts: execution strategy changes how fast the answer arrives,
+    not what it is, and ledger entries from a 4-worker re-run must tie
+    to the same manifest as the 1-worker original. ``process_faults``
+    *is* hashed (only when set — existing hashes are unchanged):
+    injected crashes change which points finish.
     """
 
     def __init__(self, points: tuple[CampaignPoint, ...] |
@@ -667,13 +563,11 @@ class CampaignRunner:
                  resilience: ResilienceOptions | None = None,
                  checkpoint_path: str | os.PathLike | None = None,
                  params: PackageParams = DEFAULT_PACKAGE,
-                 point_timeout_s: float | None = None,
                  evaluator: Callable[[CampaignPoint, ResilienceOptions,
                                       PackageParams],
                                      PointRecord] | None = None,
-                 workers: int | None = None,
+                 workers: int = 1,
                  chunk_size: int | None = None,
-                 share_models: bool | None = None,
                  process_faults=None,
                  chunk_timeout_s: float | None = None,
                  heartbeat_timeout_s: float | None = 30.0,
@@ -682,12 +576,8 @@ class CampaignRunner:
                  ) -> None:
         if not points:
             raise ConfigurationError("a campaign needs at least one point")
-        if workers is not None and workers < 1:
-            raise ConfigurationError("workers must be >= 1 or None")
-        if process_faults is not None and workers is None:
-            raise ConfigurationError(
-                "process_faults requires workers (the supervised pool "
-                "is what recovers from them)")
+        if workers < 1:
+            raise ConfigurationError("workers must be >= 1")
         keys = [p.key for p in points]
         counts = _KeyCounter(keys)
         if len(counts) != len(keys):
@@ -702,7 +592,6 @@ class CampaignRunner:
         self.checkpoint_path = (Path(checkpoint_path)
                                 if checkpoint_path is not None else None)
         self.params = params
-        self.point_timeout_s = point_timeout_s
         self.process_faults = process_faults
         self.chunk_timeout_s = chunk_timeout_s
         self.heartbeat_timeout_s = heartbeat_timeout_s
@@ -711,22 +600,15 @@ class CampaignRunner:
         # per-record serialized forms (dict + rendered-JSON fragment),
         # keyed by point key; records are frozen, so each needs
         # serializing once per identity, not once per checkpoint
-        # rewrite (which is O(points) per finished point)
+        # rewrite (which is O(points) per finished chunk)
         self._record_dicts: dict[str, tuple[PointRecord, dict, str]] = {}
-        self.share_models = (share_models if share_models is not None
-                             else workers is not None)
-        if evaluator is not None:
-            self.evaluator = evaluator
-        elif self.share_models:
-            self.evaluator = _evaluate_point_shared
-        else:
-            self.evaluator = evaluate_point
+        self.evaluator = (evaluator if evaluator is not None
+                          else evaluate_point)
         policy = self.resilience.retry_policy
         self._campaign_config = {
             "points": sorted(keys),
             "allow_degraded": self.resilience.allow_degraded,
             "max_attempts": policy.max_attempts if policy else None,
-            "point_timeout_s": point_timeout_s,
             "fault_specs": ([f"{s.kind}:{s.probability}:{s.max_fires}"
                              for s in self.resilience.injector.specs]
                             if self.resilience.injector else []),
@@ -850,7 +732,7 @@ class CampaignRunner:
                       record: PointRecord) -> tuple[PointRecord, dict, str]:
         """One record's serialized forms, computed once per identity.
 
-        Checkpoints rewrite every finished record after every point;
+        Checkpoints rewrite every finished record after every chunk;
         the records themselves are frozen, so the deep ``asdict`` walk
         and the ``indent=1`` JSON rendering are hoisted here and only
         re-run when a key's record object is actually replaced (e.g. a
@@ -966,52 +848,15 @@ class CampaignRunner:
         if resume:
             records, ledger = self._load_checkpoint()
         with span("campaign.run", n_points=len(self.points),
-                  config_hash=self.config_hash,
-                  workers=self.workers or 0):
-            if self.workers is None:
-                records, ledger, evaluated, skipped = \
-                    self._run_serial(records, ledger, t0)
-            else:
-                records, ledger, evaluated, skipped = \
-                    self._run_parallel(records, ledger, t0)
+                  config_hash=self.config_hash, workers=self.workers):
+            records, ledger, evaluated, skipped = \
+                self._run_engine(records, ledger, t0)
         manifest = self._manifest(records, ledger,
                                   time.perf_counter() - t0)
         return CampaignResult(records=records, ledger=tuple(ledger),
                               evaluated=evaluated, skipped=skipped,
                               checkpoint_path=self.checkpoint_path,
                               manifest=manifest)
-
-    def _run_serial(self, records: dict[str, PointRecord],
-                    ledger: list[LedgerEntry], t0: float):
-        """The legacy in-process loop: shared injector state, one
-        checkpoint rewrite per point, one hoisted timeout executor."""
-        evaluated = 0
-        skipped = 0
-        timeout = _PointTimeout(self.point_timeout_s)
-        try:
-            for point in self.points:
-                prior = records.get(point.key)
-                if prior is not None and prior.finished:
-                    skipped += 1
-                    counter("campaign.points_skipped").inc()
-                    continue
-                if prior is not None:          # re-attempting a failure
-                    ledger = [e for e in ledger if e.key != point.key]
-                evaluated += 1
-                record, entry = _evaluate_guarded(
-                    point, self.resilience, self.params, self.evaluator,
-                    timeout, self.config_hash)
-                if entry is not None:
-                    ledger.append(entry)
-                records[point.key] = record
-                self._note_record(record)
-                self._write_checkpoint(
-                    records, ledger,
-                    self._manifest(records, ledger,
-                                   time.perf_counter() - t0))
-        finally:
-            timeout.close()
-        return records, ledger, evaluated, skipped
 
     def _worker_payload(self, *, picklable: bool) -> _WorkerPayload:
         injector = self.resilience.injector
@@ -1024,21 +869,21 @@ class CampaignRunner:
             fault_enabled=(injector.enabled if injector is not None
                            else True),
             params=self.params,
-            point_timeout_s=self.point_timeout_s,
             config_hash=self.config_hash,
             sleep=None if picklable else self.resilience.sleep,
         )
 
-    def _run_parallel(self, loaded: dict[str, PointRecord],
-                      loaded_ledger: list[LedgerEntry], t0: float):
-        """The :mod:`repro.parallel` engine path.
+    def _run_engine(self, loaded: dict[str, PointRecord],
+                    loaded_ledger: list[LedgerEntry], t0: float):
+        """Evaluate the pending points on the :mod:`repro.parallel` engine.
 
-        Pending points are chunked over a process pool; per-point
-        injector streams are derived from (campaign seed, point key),
-        so every worker count produces the same records. The
-        checkpoint is rewritten after every completed *chunk*, rebuilt
-        each time in grid order from the accumulated results so the
-        bytes never depend on chunk completion order.
+        Pending points are chunked (inline at one worker, over a
+        process pool otherwise); per-point injector streams are derived
+        from (campaign seed, point key), so every worker count produces
+        the same records. The checkpoint is rewritten after every
+        completed chunk, rebuilt each time in grid order from the
+        accumulated results so the bytes never depend on chunk
+        completion order.
         """
         from ..parallel import ParallelConfig, run_chunked
 
@@ -1087,7 +932,7 @@ class CampaignRunner:
         def on_chunk(done) -> None:
             # run_chunked indexes into the pending list; keep the
             # accumulator keyed by *grid* index so ledger entries land
-            # in grid order, matching the serial loop.
+            # in grid order whatever order the chunks finish in.
             from ..parallel import Poisoned
             for pending_idx, result in done:
                 if isinstance(result, Poisoned):
@@ -1112,12 +957,9 @@ class CampaignRunner:
                     self._worker_payload(picklable=self.workers > 1),
                     config=config, on_chunk=on_chunk,
                     fault_plan=self.process_faults)
-        # run_chunked returns results positionally over *pending*; map
-        # them back to grid indices via the computed dict (already
-        # filled by on_chunk).
-        # on_chunk already folded every result into `computed` and
-        # checkpointed; assemble once more for the returned state (like
-        # the serial path, a fully-skipped run leaves the checkpoint
+        # on_chunk already folded every result into `computed` (keyed
+        # by grid index) and checkpointed; assemble once more for the
+        # returned state (a fully-skipped run leaves the checkpoint
         # file untouched).
         records, ledger = assemble()
         return records, ledger, len(pending), skipped

@@ -7,13 +7,15 @@ exactly the quantity plotted in the paper's Figs. 1, 7, 8, 15, 17.
 
 Temperature is strictly increasing in frequency (power is increasing in
 f and the network is linear with a positive inverse), so the search is a
-bisection over the discrete ladder; each probe is one triangular solve
-against the cached factorization.
+bisection over the discrete ladder; each probe is one matvec on the
+geometry's response operator (one triangular solve against the cached
+factorization on the sparse path).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 from ..cooling.options import CoolingOption
 from ..errors import InfeasibleError
@@ -47,34 +49,23 @@ class OperatingPoint:
         return self.f_hz / 1e9
 
 
-#: Ladder steps probed per batched solve round (see :func:`max_frequency`).
-DEFAULT_PROBE_BATCH = 8
-
-
 def max_frequency(model: ThermalModel,
                   threshold_c: float | None = None, *,
-                  probe_batch: int | None = None) -> OperatingPoint:
+                  freqs: Sequence[float] | None = None) -> OperatingPoint:
     """Highest feasible VFS step for a prepared thermal model.
 
-    Models exposing ``max_temperatures_many`` (the grid
-    :class:`~repro.thermal.hotspot.ThermalModel`) are searched with a
-    batched bracket: each round solves up to ``probe_batch`` ladder
-    steps as one multi-RHS block against the cached factorization,
-    which collapses the log2(n) sequential triangular solves of plain
-    bisection into one or two batched calls. Models without the batch
-    API (the analytic fallback, the fault-injection wrapper) keep the
-    exact probe-at-a-time bisection — including its query sequence, on
-    which seeded fault injection depends. Both searches return the same
-    operating point: temperature is monotone in frequency, so any probe
-    schedule converges to the same boundary step.
+    A bisection over the ladder, one temperature query per probe. Any
+    model with ``stack`` and ``max_temperature_c`` works: the grid
+    :class:`~repro.thermal.hotspot.ThermalModel`, the analytic
+    fallback, and the fault-injection wrapper, whose seeded faults
+    replay against this exact query sequence.
 
     Args:
         model: the (stack, cooling) thermal model.
         threshold_c: temperature limit; defaults to the chip's own
             (80 C for the CMPs, 78 C for the Xeon E5).
-        probe_batch: ladder steps per batched round (None =
-            :data:`DEFAULT_PROBE_BATCH`; 1 forces probe-at-a-time
-            bisection — the benchmark baseline).
+        freqs: the ascending ladder to search (None = the chip's full
+            VFS ladder; a ``drop_vfs`` fault passes a sub-ladder).
 
     Returns:
         The operating point; ``feasible=False`` with ``f_hz=0`` when no
@@ -82,37 +73,18 @@ def max_frequency(model: ThermalModel,
     """
     chip = model.stack.chip
     limit = threshold_c if threshold_c is not None else chip.threshold_c
-    freqs = chip.ladder.frequencies()
-    batch = DEFAULT_PROBE_BATCH if probe_batch is None else probe_batch
-    if batch > 1 and hasattr(model, "max_temperatures_many"):
-        best, t_best, t_bottom = _batched_boundary(model, freqs, limit,
-                                                   batch)
-    else:
-        best, t_best, t_bottom = _bisect_boundary(model, freqs, limit)
-    if best is None:
-        return OperatingPoint(f_hz=0.0, max_temp_c=t_bottom,
-                              feasible=False, chip_power_w=0.0,
-                              total_power_w=0.0)
-    f = float(freqs[best])
-    return OperatingPoint(
-        f_hz=f,
-        max_temp_c=t_best,
-        feasible=True,
-        chip_power_w=chip.total_power_w(f),
-        total_power_w=model.stack.total_power_w(f),
-    )
-
-
-def _bisect_boundary(model, freqs, limit):
-    """Probe-at-a-time bisection (the legacy search, query-for-query)."""
+    if freqs is None:
+        freqs = chip.ladder.frequencies()
 
     def temp(idx: int) -> float:
         return model.max_temperature_c(float(freqs[idx]))
 
     # Infeasible even at the bottom step?
-    t0 = temp(0)
-    if t0 > limit + 1e-9:
-        return None, 0.0, t0
+    t_bottom = temp(0)
+    if t_bottom > limit + 1e-9:
+        return OperatingPoint(f_hz=0.0, max_temp_c=t_bottom,
+                              feasible=False, chip_power_w=0.0,
+                              total_power_w=0.0)
     # Feasible at the top step?
     if temp(len(freqs) - 1) <= limit + 1e-9:
         best = len(freqs) - 1
@@ -126,38 +98,14 @@ def _bisect_boundary(model, freqs, limit):
             else:
                 hi = mid
         best = lo
-    return best, temp(best), t0
-
-
-def _batched_boundary(model, freqs, limit, batch):
-    """Bracket narrowing with up to ``batch`` probes per solve round."""
-    known: dict[int, float] = {}
-
-    def probe(idxs: list[int]) -> None:
-        fresh = [i for i in idxs if i not in known]
-        if fresh:
-            temps = model.max_temperatures_many(
-                [float(freqs[i]) for i in fresh])
-            known.update(zip(fresh, temps))
-
-    top = len(freqs) - 1
-    probe([0, top])
-    if known[0] > limit + 1e-9:
-        return None, 0.0, known[0]
-    if known[top] <= limit + 1e-9:
-        return top, known[top], known[0]
-    lo, hi = 0, top           # temp(lo) <= limit < temp(hi)
-    while hi - lo > 1:
-        m = min(batch, hi - lo - 1)
-        idxs = sorted({lo + round((hi - lo) * j / (m + 1))
-                       for j in range(1, m + 1)} - {lo, hi})
-        probe(idxs)
-        for i in idxs:
-            if known[i] <= limit + 1e-9:
-                lo = max(lo, i)
-            else:
-                hi = min(hi, i)
-    return lo, known[lo], known[0]
+    f = float(freqs[best])
+    return OperatingPoint(
+        f_hz=f,
+        max_temp_c=temp(best),
+        feasible=True,
+        chip_power_w=chip.total_power_w(f),
+        total_power_w=model.stack.total_power_w(f),
+    )
 
 
 def max_frequency_for(stack: StackConfig, cooling: CoolingOption,

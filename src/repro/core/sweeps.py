@@ -16,7 +16,6 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from ..cooling.options import CoolingOption, get_cooling
-from ..errors import ConfigurationError
 from ..obs import span
 from ..power.processors import get_chip
 from ..stack.chipstack import StackConfig, flip_even_layers
@@ -102,79 +101,44 @@ def frequency_vs_chips(chip_name: str, chips: tuple[int, ...],
                        *, threshold_c: float | None = None,
                        params: PackageParams = DEFAULT_PACKAGE,
                        resilience: "ResilienceOptions | None" = None,
-                       workers: int | None = None
+                       workers: int = 1
                        ) -> tuple[FrequencySeries, ...]:
     """Max frequency vs stack height for several cooling options.
 
-    With ``resilience`` given, every point is evaluated through the
-    retry policy and degradation ladder: a point whose sparse-LU solve
-    fails can fall back to the analytic thermal model (when
-    ``allow_degraded``), and a point that fails outright becomes a
-    0.0 GHz entry tagged ``"failed"`` instead of aborting the sweep.
+    With ``resilience`` given, the grid runs as a
+    :class:`~repro.core.campaign.CampaignRunner` campaign: every point
+    is evaluated through the retry policy and degradation ladder, a
+    point whose sparse-LU solve fails can fall back to the analytic
+    thermal model (when ``allow_degraded``), and a point that fails
+    outright becomes a 0.0 GHz entry tagged ``"failed"`` instead of
+    aborting the sweep.
 
     ``workers`` fans the independent (cooling, height) points over the
-    :mod:`repro.parallel` pool; the returned series are identical to a
-    serial run (the points share nothing). Resilient sweeps stay
-    serial — their injector/retry streams are a shared sequence by
-    design; use :class:`~repro.core.campaign.CampaignRunner` with
-    ``workers`` for parallel fault-tolerant grids.
+    :mod:`repro.parallel` pool; the returned series are identical at
+    every worker count (the points share nothing, and a resilient
+    sweep's fault streams are drawn per point).
     """
     if resilience is not None:
-        if workers is not None:
-            raise ConfigurationError(
-                "resilient sweeps are serial; use CampaignRunner("
-                "workers=...) for parallel fault-tolerant grids")
-        return _frequency_vs_chips_resilient(
-            chip_name, chips, coolings, threshold_c=threshold_c,
-            params=params, resilience=resilience)
+        from .campaign import CampaignRunner, frequency_grid
+        result = CampaignRunner(
+            frequency_grid(chip_name, tuple(chips), tuple(coolings),
+                           threshold_c=threshold_c),
+            resilience=resilience, params=params,
+            workers=workers).run(resume=False)
+        return tuple(result.frequency_series(chip_name, cooling)
+                     for cooling in coolings)
+    from ..parallel import ParallelConfig, run_chunked
     items = [(cooling, n) for cooling in coolings for n in chips]
     with span("sweep.frequency_vs_chips", chip=chip_name,
-              n_points=len(items), workers=workers or 0):
-        if workers is None:
-            freqs = [_freq_point_task((chip_name, threshold_c, params),
-                                      item) for item in items]
-        else:
-            from ..parallel import ParallelConfig, run_chunked
-            freqs = run_chunked(items, _freq_point_task,
-                                (chip_name, threshold_c, params),
-                                config=ParallelConfig(workers=workers))
+              n_points=len(items), workers=workers):
+        freqs = run_chunked(items, _freq_point_task,
+                            (chip_name, threshold_c, params),
+                            config=ParallelConfig(workers=workers))
     out = []
     for i, cooling in enumerate(coolings):
         block = freqs[i * len(chips):(i + 1) * len(chips)]
         out.append(FrequencySeries(cooling=cooling, chips=tuple(chips),
                                    f_ghz=tuple(block)))
-    return tuple(out)
-
-
-def _frequency_vs_chips_resilient(chip_name, chips, coolings, *,
-                                  threshold_c, params, resilience
-                                  ) -> tuple[FrequencySeries, ...]:
-    from ..errors import ReproError
-    from ..resilience.degrade import DegradationLadder, freq_point_rungs
-    out = []
-    for cooling in coolings:
-        freqs, degraded, rungs = [], [], []
-        for n in chips:
-            ladder = DegradationLadder(freq_point_rungs(
-                chip_name, n, cooling, threshold_c=threshold_c,
-                params=params, injector=resilience.injector))
-            try:
-                with span("thermal.max_frequency", cooling=cooling,
-                          n_chips=n, resilient=True):
-                    o = ladder.run(retry_policy=resilience.retry_policy,
-                                   sleep=resilience.sleep,
-                                   allow_degraded=resilience.allow_degraded)
-            except ReproError:
-                freqs.append(0.0)
-                degraded.append(False)
-                rungs.append("failed")
-                continue
-            freqs.append(o.value.f_ghz if o.value.feasible else 0.0)
-            degraded.append(o.degraded)
-            rungs.append(o.rung)
-        out.append(FrequencySeries(
-            cooling=cooling, chips=tuple(chips), f_ghz=tuple(freqs),
-            degraded=tuple(degraded), rungs=tuple(rungs)))
     return tuple(out)
 
 
@@ -216,7 +180,7 @@ def _h_point_task(payload, h: float) -> float:
 def temperature_vs_h(chip_name: str, h_values: tuple[float, ...],
                      *, n_chips: int = 4,
                      params: PackageParams = DEFAULT_PACKAGE,
-                     workers: int | None = None
+                     workers: int = 1
                      ) -> HSweepSeries:
     """Maximum stack temperature vs coolant heat-transfer coefficient.
 
@@ -226,16 +190,12 @@ def temperature_vs_h(chip_name: str, h_values: tuple[float, ...],
     spreads the per-h factorizations over the :mod:`repro.parallel`
     pool (see :func:`_h_point_task` for why they cannot share one).
     """
-    payload = (chip_name, n_chips, params)
+    from ..parallel import ParallelConfig, run_chunked
     hs = [float(h) for h in h_values]
     with span("sweep.temperature_vs_h", chip=chip_name,
-              n_points=len(hs), workers=workers or 0):
-        if workers is None:
-            temps = [_h_point_task(payload, h) for h in hs]
-        else:
-            from ..parallel import ParallelConfig, run_chunked
-            temps = run_chunked(hs, _h_point_task, payload,
-                                config=ParallelConfig(workers=workers))
+              n_points=len(hs), workers=workers):
+        temps = run_chunked(hs, _h_point_task, (chip_name, n_chips, params),
+                            config=ParallelConfig(workers=workers))
     return HSweepSeries(chip=chip_name, h_values=tuple(hs),
                         max_temp_c=tuple(temps))
 

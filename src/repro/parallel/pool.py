@@ -27,6 +27,9 @@ Three properties the rest of the system relies on:
 
 ``workers=1`` runs every chunk inline — no pool, no pickling — and is
 the reference the multi-worker paths are tested bit-for-bit against.
+A chunk with a deadline (``task_timeout_s``) or a process fault plan
+always runs under the supervised pool, even at one worker: an inline
+chunk cannot be killed.
 """
 
 from __future__ import annotations
@@ -70,7 +73,9 @@ class ParallelConfig:
         heartbeat_timeout_s: silence budget before a worker is
             declared hung (None disables; supervised only).
         task_timeout_s: wall-clock budget per chunk before its worker
-            is killed and the chunk retried (None disables).
+            is killed and the chunk retried (None disables). Setting
+            it runs every chunk under the supervised pool, even at one
+            worker.
         max_task_crashes: crash count at which a chunk is quarantined
             as poison instead of retried.
     """
@@ -238,8 +243,9 @@ def run_chunked(items: Sequence[Any],
             runner rebuilds its checkpoint this way).
         fault_plan: optional
             :class:`~repro.resilience.faults.ProcessFaultPlan`
-            executed inside supervised workers (chaos testing). Forces
-            the supervised pool path even at ``workers == 1``.
+            executed inside supervised workers (chaos testing). Like a
+            chunk deadline (``config.task_timeout_s``), it forces the
+            supervised pool path even at ``workers == 1``.
 
     Returns:
         ``[fn(payload, item) for item in items]`` — same values, any
@@ -258,7 +264,10 @@ def run_chunked(items: Sequence[Any],
     results: dict[int, Any] = {}
     with span("parallel.run", items=n, workers=cfg.workers,
               chunks=len(chunks), chunk_size=chunk_size):
-        if cfg.workers == 1 and fault_plan is None:
+        # an inline chunk cannot be killed or crashed on purpose
+        must_supervise = (fault_plan is not None
+                          or cfg.task_timeout_s is not None)
+        if cfg.workers == 1 and not must_supervise:
             for chunk in chunks:
                 t0 = time.perf_counter()
                 done = [(idx, fn(payload, item)) for idx, item in chunk]
@@ -266,7 +275,7 @@ def run_chunked(items: Sequence[Any],
                 results.update(done)
                 if on_chunk is not None:
                     on_chunk(done)
-        elif cfg.supervised or fault_plan is not None:
+        elif cfg.supervised or must_supervise:
             _run_supervised(chunks, fn, payload, cfg, results,
                             on_chunk, fault_plan)
         else:

@@ -1,10 +1,10 @@
 """Deterministic per-worker / per-point seed derivation.
 
-A parallel campaign must give the same answer no matter how its points
-land on workers. Shared RNG state (the serial fault injector advances
-one stream as points are visited in order) cannot cross process
-boundaries, so the parallel engine derives an *independent* seed per
-point from the campaign seed and the point's stable key. The
+A campaign must give the same answer no matter how its points land on
+workers. Shared RNG state (one fault injector advancing one stream as
+points are visited in order) cannot cross process boundaries, so the
+engine derives an *independent* seed per point from the campaign seed
+and the point's stable key. The
 derivation is a SHA-256 hash — not Python's ``hash()``, which is
 salted per process — so every worker, every run, and every worker
 *count* agrees on the stream a point sees.

@@ -71,9 +71,8 @@ class SupervisorConfig:
             declared hung and killed (None = no heartbeat deadline).
         task_timeout_s: wall-clock budget per task (chunk); a task in
             flight longer than this gets its worker killed (None = no
-            per-task deadline). This is the *process-level* backstop —
-            the campaign's ``point_timeout_s`` thread budget still
-            applies inside the worker.
+            per-task deadline). This is the campaign's only timeout
+            (``chunk_timeout_s``).
         max_task_crashes: quarantine threshold — a task that has
             crashed its worker this many times fails with
             :class:`~repro.errors.WorkerCrashError` instead of being

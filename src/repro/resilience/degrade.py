@@ -125,89 +125,62 @@ class DegradationLadder:
 def _search_max_frequency(model, threshold_c, injector: FaultInjector | None):
     """Max-frequency search with optional VFS-step-drop faults.
 
-    Clean runs use the bisection in :func:`repro.core.freqopt.
-    max_frequency`; when a ``drop_vfs`` fault fires, the surviving
-    sub-ladder is scanned top-down (temperature is monotone in
-    frequency, so the first feasible step is the answer).
+    The bisection in :func:`repro.core.freqopt.max_frequency`; when a
+    ``drop_vfs`` fault fires, it bisects the surviving sub-ladder
+    instead (temperature is monotone in frequency on any sub-ladder).
     """
-    from ..core.freqopt import OperatingPoint, max_frequency
-    dropped = None
+    from ..core.freqopt import max_frequency
+    freqs = None
     if injector is not None:
         spec = injector.draw("vfs")
         if spec is not None and spec.kind == "drop_vfs":
-            dropped = drop_vfs_steps(
+            freqs = drop_vfs_steps(
                 tuple(float(f) for f in
                       model.stack.chip.ladder.frequencies()),
                 injector.vfs_rng())
-    if dropped is None:
-        return max_frequency(model, threshold_c)
-    chip = model.stack.chip
-    limit = threshold_c if threshold_c is not None else chip.threshold_c
-    for f in reversed(dropped):
-        t = model.max_temperature_c(f)
-        if t <= limit + 1e-9:
-            return OperatingPoint(
-                f_hz=f, max_temp_c=t, feasible=True,
-                chip_power_w=chip.total_power_w(f),
-                total_power_w=model.stack.total_power_w(f),
-            )
-    return OperatingPoint(
-        f_hz=0.0, max_temp_c=model.max_temperature_c(dropped[0]),
-        feasible=False, chip_power_w=0.0, total_power_w=0.0,
-    )
+    return max_frequency(model, threshold_c, freqs=freqs)
 
 
 def freq_point_rungs(chip: str, n_chips: int, cooling: str, *,
                      threshold_c: float | None = None,
                      rotations: tuple[bool, ...] = (),
                      params=None,
-                     injector: FaultInjector | None = None,
-                     share_models: bool = False
+                     injector: FaultInjector | None = None
                      ) -> tuple[Rung, ...]:
     """The thermal ladder for one max-frequency point.
 
-    Rung 0 (``sparse-lu``) by default builds a *fresh* grid
-    :class:`~repro.thermal.hotspot.ThermalModel` — deliberately not the
-    memoized :func:`~repro.thermal.hotspot.model_for`, so a resumed
-    campaign provably re-solves nothing for checkpointed points — and
-    wraps it in the fault harness when an injector is active. Rung 1
-    (``analytic``) answers from the closed-form
+    Rung 0 (``sparse-lu``) answers through :func:`~repro.thermal.
+    hotspot.model_for`: the model is fetched from the process-wide
+    bounded :class:`~repro.thermal.hotspot.ModelCache` keyed on (chip,
+    stack, rotations, cooling, package), so repeated visits to one
+    geometry — retries, npb+freq grids over the same stacks, pool
+    workers chewing through chunks — reuse it instead of re-assembling
+    G. The fault harness wraps the (shared, never-mutated) model when
+    an injector is active, and cache hits/misses surface as
+    ``thermal.model_cache_*`` counters. Rung 1 (``analytic``) answers
+    from the closed-form
     :class:`~repro.thermal.analytic.AnalyticStackModel`.
-
-    With ``share_models`` the rung answers through :func:`model_for`
-    instead: the factorization is fetched from the process-wide bounded
-    :class:`~repro.thermal.hotspot.ModelCache` keyed on (chip, stack,
-    rotations, cooling, package), so repeated visits to one geometry —
-    retries, npb+freq grids over the same stacks, pool workers chewing
-    through chunks — reuse the factor instead of re-assembling G. The
-    fault wrapper still wraps the (shared, never-mutated) model, and
-    cache hits/misses surface as ``thermal.model_cache_*`` counters.
     """
     from ..cooling.options import get_cooling
     from ..power.processors import get_chip
     from ..stack.chipstack import StackConfig
     from ..thermal.analytic import AnalyticStackModel
-    from ..thermal.hotspot import ThermalModel, model_for
+    from ..thermal.hotspot import model_for
     from ..thermal.package import DEFAULT_PACKAGE
     pkg = params if params is not None else DEFAULT_PACKAGE
 
-    def _stack() -> StackConfig:
-        return StackConfig(chip=get_chip(chip), n_chips=n_chips,
-                           rotations=rotations)
-
     def sparse_lu():
-        if share_models:
-            model = model_for(chip, n_chips, cooling,
-                              rotations=rotations, params=pkg)
-        else:
-            model = ThermalModel(_stack(), get_cooling(cooling), pkg)
+        model = model_for(chip, n_chips, cooling,
+                          rotations=rotations, params=pkg)
         if injector is not None and injector.enabled:
             model = FaultyThermalModel(model, injector)
         return _search_max_frequency(model, threshold_c, injector)
 
     def analytic():
         from ..core.freqopt import max_frequency
-        model = AnalyticStackModel(_stack(), get_cooling(cooling), pkg)
+        stack = StackConfig(chip=get_chip(chip), n_chips=n_chips,
+                            rotations=rotations)
+        model = AnalyticStackModel(stack, get_cooling(cooling), pkg)
         return max_frequency(model, threshold_c)
 
     return (("sparse-lu", sparse_lu), ("analytic", analytic))

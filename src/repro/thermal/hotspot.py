@@ -162,11 +162,10 @@ class ThermalModel:
         """Hottest die-cell temperature at each VFS step, batched.
 
         The batched counterpart of :meth:`max_temperature_c`: the
-        frequency optimizer evaluates whole ladder brackets per probe
-        round through this method, and the ladder sweeps solve every
-        step of a figure in one call. With the response operator this
-        is a matvec per step; the sparse fallback pushes all steps
-        through one multi-RHS solve.
+        ladder sweeps and the fleet's DTM ladder solve every step of a
+        ladder in one call. With the response operator this is a
+        matvec per step; the sparse fallback pushes all steps through
+        one multi-RHS solve.
         """
         op = self.response_operator()
         if op is not None:

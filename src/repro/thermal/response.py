@@ -9,12 +9,12 @@ where ``t0`` is the ambient-only equilibrium (zero power) and column j
 of ``R`` is the temperature rise per watt injected into one floorplan
 block of one die. Both depend only on the *geometry* — network
 structure, materials, and the cooling boundary — not on the operating
-point. A frequency ladder, a bracket search, or a leakage fixed-point
-therefore needs ``R`` built once (one unit-power column per block, by
-the structured die-stack solve of :mod:`repro.thermal.stacksolve`,
-which never factorizes G); every query after that is a dense matvec,
-with no sparse solver, no rasterization, and no factorization in the
-loop.
+point. A frequency ladder, a max-frequency bisection, or a leakage
+fixed-point therefore needs ``R`` built once (one unit-power column
+per block, by the structured die-stack solve of
+:mod:`repro.thermal.stacksolve`, which never factorizes G); every
+query after that is a dense matvec, with no sparse solver, no
+rasterization, and no factorization in the loop.
 
 Two cache tiers make the operator outlive the model that built it:
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import time
 import warnings
 
 import pytest
@@ -21,7 +22,6 @@ from repro.errors import (
     CheckpointError,
     ConfigurationError,
     DegradedResultWarning,
-    TransientSolverError,
 )
 from repro.resilience import (
     FaultInjector,
@@ -40,6 +40,20 @@ def options(*specs, allow_degraded=False, seed=0):
                              allow_degraded=allow_degraded,
                              injector=injector,
                              sleep=lambda s: None)
+
+
+#: A seeded fractional fault that fires on exactly one point of
+#: ``TestCampaignRuns.grid`` (water n=2) at fault seed 1. Fault budgets
+#: apply per point, so ``max_fires=1`` at probability 1 would fault
+#: every point of the grid.
+ONE_POINT_SINGULAR = FaultSpec("singular", probability=0.1, max_fires=1)
+
+
+def _overrunning_evaluator(point, resilience, params):
+    """Outlives any sub-second chunk deadline (module-level, so a
+    supervised worker can run it)."""
+    time.sleep(1.5)
+    raise AssertionError("the chunk deadline should have killed this")
 
 
 # -- grid builders and record plumbing --------------------------------------
@@ -127,7 +141,7 @@ class TestCampaignRuns:
         ck = tmp_path / "c.json"
         runner = CampaignRunner(
             self.grid(),
-            resilience=options(FaultSpec("singular", max_fires=1)),
+            resilience=options(ONE_POINT_SINGULAR, seed=1),
             checkpoint_path=ck, params=fast_params)
         result = runner.run()
         s = result.summary()
@@ -151,7 +165,7 @@ class TestCampaignRuns:
         lands in the failure ledger (previous test)."""
         runner = CampaignRunner(
             self.grid(),
-            resilience=options(FaultSpec("singular", max_fires=1),
+            resilience=options(ONE_POINT_SINGULAR, seed=1,
                                allow_degraded=True),
             checkpoint_path=tmp_path / "c.json", params=fast_params)
         with warnings.catch_warnings():
@@ -207,7 +221,7 @@ class TestCampaignRuns:
         ck = tmp_path / "c.json"
         faulted = CampaignRunner(
             self.grid(),
-            resilience=options(FaultSpec("singular", max_fires=1)),
+            resilience=options(ONE_POINT_SINGULAR, seed=1),
             checkpoint_path=ck, params=fast_params).run()
         assert faulted.summary()["failed"] == 1
         retried = CampaignRunner(self.grid(), resilience=options(),
@@ -259,21 +273,21 @@ class TestCampaignRuns:
         assert rec.perf_rung == "flit-noc"
 
     def test_timeout_lands_in_ledger(self, tmp_path, fast_params):
-        import time
-
-        def slow(point, resilience, params):
-            time.sleep(0.5)
-            raise AssertionError("should have timed out")
-
+        """The chunk deadline holds at one worker: the overrunning
+        chunk's worker is killed, and past the crash threshold its
+        point is quarantined as ``poison`` (resume re-attempts it)."""
         pts = frequency_grid("low-power-cmp", (2,), ("water",))
         result = CampaignRunner(pts, resilience=options(),
                                 checkpoint_path=tmp_path / "c.json",
-                                params=fast_params,
-                                point_timeout_s=0.05,
-                                evaluator=slow).run()
-        assert result.summary()["failed"] == 1
-        assert result.ledger[0].exception == "TransientSolverError"
-        assert "budget" in result.ledger[0].message
+                                params=fast_params, workers=1,
+                                chunk_timeout_s=0.3,
+                                evaluator=_overrunning_evaluator).run()
+        assert result.summary()["poison"] == 1
+        assert result.records[pts[0].key].status == "poison"
+        entry, = result.ledger
+        assert entry.exception == "WorkerCrashError"
+        assert entry.rungs_tried == ("poison",)
+        assert not result.records[pts[0].key].finished
 
     def test_transient_fault_recovers_via_retry(self, fast_params):
         """A timeout fault with max_fires=1 succeeds on the retry."""

@@ -1,12 +1,12 @@
 """Tests for the parallel execution subsystem (:mod:`repro.parallel`)
 and its integration into campaigns, sweeps, and the frequency search.
 
-The headline invariant: a campaign at ``workers`` 1, 2, and 4 — and
-the legacy serial path — produces identical records, checkpoint bytes
-(after stripping the timestamped manifest), config hash, and failure
-ledger. Everything else here supports that claim: stable seed
-derivation, order-preserving chunked execution, batched-vs-bisection
-search equivalence, and worker metrics repatriation.
+The headline invariant: a campaign at ``workers`` 1, 2, and 4
+produces identical records, checkpoint bytes (after stripping the
+timestamped manifest), config hash, and failure ledger. Everything else
+here supports that claim: stable seed derivation, order-preserving
+chunked execution, the frequency search against a full ladder scan,
+and worker metrics repatriation.
 """
 
 from __future__ import annotations
@@ -73,6 +73,13 @@ def _metric_task(payload, item):
     return item
 
 
+def _stuck_on_one_task(payload, item):
+    import time
+    if item == 1:
+        time.sleep(2.0)
+    return item
+
+
 class TestChunking:
     def test_chunk_indices_cover_exactly(self):
         rs = chunk_indices(10, 3)
@@ -120,6 +127,17 @@ class TestRunChunked:
                     on_chunk=lambda done: seen.extend(i for i, _ in done))
         assert sorted(seen) == list(range(9))
 
+    def test_deadline_is_enforced_at_one_worker(self):
+        """A chunk deadline moves even a one-worker run onto the
+        supervised pool, whose kill quarantines the stuck chunk."""
+        from repro.parallel import Poisoned
+        out = run_chunked([0, 1, 2], _stuck_on_one_task, None,
+                          config=ParallelConfig(workers=1, chunk_size=1,
+                                                task_timeout_s=0.3))
+        assert out[0] == 0 and out[2] == 2
+        assert isinstance(out[1], Poisoned)
+        assert out[1].key == "chunk/1-1"
+
     def test_worker_metrics_repatriated(self):
         from repro.obs import get_registry
         before = get_registry().snapshot()["counters"].get(
@@ -162,39 +180,86 @@ class TestMergeSnapshot:
         assert a.gauge("g").value == 9.0
 
 
-# -- batched frequency search ------------------------------------------------
+# -- frequency search against a full ladder scan ----------------------------
 
-class TestBatchedSearch:
-    def test_matches_bisection(self, fast_params):
+def _reference_step(model, freqs, limit):
+    """(index, temps): the highest step of ``freqs`` whose hottest cell
+    stays within ``limit`` (None when none does), from one batched scan
+    of every step."""
+    temps = model.max_temperatures_many([float(f) for f in freqs])
+    ok = [i for i, t in enumerate(temps) if t <= limit + 1e-9]
+    return (ok[-1] if ok else None), temps
+
+
+def _grid_model(chip, n, cooling, params):
+    from repro.cooling.options import get_cooling
+    from repro.power.processors import get_chip
+    from repro.stack.chipstack import StackConfig
+    from repro.thermal.hotspot import ThermalModel
+    return ThermalModel(StackConfig(chip=get_chip(chip), n_chips=n),
+                        get_cooling(cooling), params)
+
+
+class TestMaxFrequencyReference:
+    def test_matches_reference(self, fast_params):
         from repro.core.freqopt import max_frequency
-        from repro.thermal.hotspot import ThermalModel
-        from repro.power.processors import get_chip
-        from repro.cooling.options import get_cooling
-        from repro.stack.chipstack import StackConfig
         for chip, n, cooling in (("low-power-cmp", 2, "water"),
                                  ("low-power-cmp", 6, "air"),
                                  ("high-frequency-cmp", 3, "water_pipe"),
                                  ("xeon-phi-7290", 2, "fluorinert")):
-            model = ThermalModel(
-                StackConfig(chip=get_chip(chip), n_chips=n),
-                get_cooling(cooling), fast_params)
-            batched = max_frequency(model)
-            legacy = max_frequency(model, probe_batch=1)
-            assert batched == legacy
+            model = _grid_model(chip, n, cooling, fast_params)
+            freqs = model.stack.chip.ladder.frequencies()
+            best, temps = _reference_step(model, freqs,
+                                          model.stack.chip.threshold_c)
+            p = max_frequency(model)
+            if best is None:
+                assert not p.feasible and p.f_hz == 0.0
+                assert p.max_temp_c == temps[0]
+            else:
+                assert p.feasible
+                assert p.f_hz == float(freqs[best])
+                assert p.max_temp_c == temps[best]
 
-    def test_infeasible_agrees(self, fast_params):
+    def test_infeasible_matches_reference(self, fast_params):
         from repro.core.freqopt import max_frequency
-        from repro.thermal.hotspot import ThermalModel
-        from repro.power.processors import get_chip
-        from repro.cooling.options import get_cooling
-        from repro.stack.chipstack import StackConfig
-        model = ThermalModel(
-            StackConfig(chip=get_chip("high-frequency-cmp"), n_chips=12),
-            get_cooling("air"), fast_params)
-        batched = max_frequency(model)
-        legacy = max_frequency(model, probe_batch=1)
-        assert batched == legacy
-        assert not batched.feasible
+        model = _grid_model("high-frequency-cmp", 12, "air", fast_params)
+        best, temps = _reference_step(
+            model, model.stack.chip.ladder.frequencies(),
+            model.stack.chip.threshold_c)
+        p = max_frequency(model)
+        assert best is None
+        assert not p.feasible and p.f_hz == 0.0
+        assert p.max_temp_c == temps[0]
+
+    def test_drop_vfs_sub_ladders_match_reference(self, fast_params):
+        """A ``drop_vfs`` fault bisects the surviving sub-ladder: the
+        answer is that sub-ladder's highest step within the limit."""
+        from repro.resilience import DegradationLadder, freq_point_rungs
+        from repro.resilience.faults import drop_vfs_steps
+        from repro.thermal.hotspot import model_for
+        shortened = 0
+        for chip, n, cooling in (("high-frequency-cmp", 3, "water_pipe"),
+                                 ("low-power-cmp", 4, "air")):
+            model = model_for(chip, n, cooling, params=fast_params)
+            ladder = tuple(float(f) for f in
+                           model.stack.chip.ladder.frequencies())
+            for seed in range(5):
+                spec = FaultSpec("drop_vfs")
+                # the fault's sub-ladder, replayed from a twin injector
+                sub = drop_vfs_steps(
+                    ladder, FaultInjector((spec,), seed=seed).vfs_rng())
+                shortened += len(sub) < len(ladder)
+                best, temps = _reference_step(
+                    model, sub, model.stack.chip.threshold_c)
+                out = DegradationLadder(freq_point_rungs(
+                    chip, n, cooling, params=fast_params,
+                    injector=FaultInjector((spec,), seed=seed))).run()
+                assert out.rung == "sparse-lu"
+                assert out.value.feasible == (best is not None)
+                assert out.value.f_hz == (sub[best] if best is not None
+                                          else 0.0)
+                assert out.value.max_temp_c == temps[best or 0]
+        assert shortened        # the fault really dropped steps
 
 
 # -- batched sweeps ----------------------------------------------------------
@@ -249,11 +314,31 @@ class TestBatchedSweeps:
                                params=fast_params, workers=2)
         assert par == serial
 
-    def test_resilient_sweep_refuses_workers(self):
+    def test_resilient_frequency_vs_chips_workers_match(self,
+                                                        fast_params):
+        """Resilient sweeps run as campaigns: per-point fault streams,
+        so faulted series are equal at any worker count."""
+        import warnings
         from repro.core.sweeps import frequency_vs_chips
-        with pytest.raises(ConfigurationError, match="CampaignRunner"):
-            frequency_vs_chips("low-power-cmp", (1,), ("water",),
-                               resilience=ResilienceOptions(), workers=2)
+        from repro.errors import DegradedResultWarning
+        res = ResilienceOptions(
+            retry_policy=RetryPolicy(seed=5, max_attempts=2,
+                                     base_delay_s=0.0),
+            allow_degraded=True,
+            injector=FaultInjector(
+                (FaultSpec("singular", probability=0.4, max_fires=1),),
+                seed=11),
+            sleep=lambda s: None)
+        runs = []
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", DegradedResultWarning)
+            for workers in (1, 2):
+                runs.append(frequency_vs_chips(
+                    "low-power-cmp", (1, 2, 3), ("water", "air"),
+                    params=fast_params, resilience=res, workers=workers))
+        assert runs[0] == runs[1]
+        rungs = [r for series in runs[0] for r in series.rungs]
+        assert "analytic" in rungs and "sparse-lu" in rungs
 
 
 # -- campaign determinism across worker counts -------------------------------
@@ -288,14 +373,6 @@ def _run(tmp_path, tag, *, workers, params, faults=False,
 
 
 class TestCampaignDeterminism:
-    def test_clean_engine_matches_legacy(self, tmp_path, fast_params):
-        _, legacy, cp0 = _run(tmp_path, "legacy", workers=None,
-                              params=fast_params)
-        _, w1, cp1 = _run(tmp_path, "w1", workers=1, params=fast_params)
-        assert w1.records == legacy.records
-        assert w1.ledger == legacy.ledger
-        assert _stripped_checkpoint(cp1) == _stripped_checkpoint(cp0)
-
     def test_worker_counts_identical(self, tmp_path, fast_params):
         results = {}
         for n in (1, 2, 4):
@@ -326,9 +403,9 @@ class TestCampaignDeterminism:
     def test_config_hash_excludes_execution_strategy(self, fast_params):
         hashes = {
             CampaignRunner(GRID, params=fast_params, workers=w,
-                           chunk_size=c, share_models=s).config_hash
-            for w, c, s in ((None, None, None), (1, None, None),
-                            (4, 2, True), (2, 1, False))
+                           chunk_size=c, chunk_timeout_s=t).config_hash
+            for w, c, t in ((1, None, None), (1, 1, 30.0),
+                            (4, 2, None), (2, 1, 5.0))
         }
         assert len(hashes) == 1
 
@@ -346,20 +423,3 @@ class TestCampaignDeterminism:
     def test_workers_validation(self):
         with pytest.raises(ConfigurationError):
             CampaignRunner(GRID, workers=0)
-
-
-class TestSharedModels:
-    def test_share_models_changes_nothing(self, tmp_path, fast_params):
-        res_fresh = CampaignRunner(
-            GRID, params=fast_params, workers=1,
-            share_models=False).run()
-        res_shared = CampaignRunner(
-            GRID, params=fast_params, workers=1,
-            share_models=True).run()
-        assert res_shared.records == res_fresh.records
-
-    def test_engine_defaults_to_shared(self, fast_params):
-        assert CampaignRunner(GRID, params=fast_params,
-                              workers=1).share_models
-        assert not CampaignRunner(GRID,
-                                  params=fast_params).share_models

@@ -342,14 +342,15 @@ class TestCheckpointByteIdentity:
                                                        fast_params,
                                                        monkeypatch):
         monkeypatch.setenv(STORE_DIR_ENV, "")   # baseline: no disk store
-        baseline = self._run(tmp_path, fast_params, "plain", workers=None)
+        baseline = self._run(tmp_path, fast_params, "plain", workers=1)
         store = tmp_path / "opstore"
-        for workers in (None, 2, 4):
+        for workers in (1, 2, 4):
             got = self._run(tmp_path, fast_params, f"w{workers}",
                             workers=workers, store_dir=store)
             assert got == baseline, (
                 f"checkpoint bytes diverged at workers={workers} "
-                f"with a {'warm' if workers else 'cold'} operator store")
+                f"with a {'warm' if workers > 1 else 'cold'} "
+                f"operator store")
         # the store was actually exercised
         assert list(store.glob("*.npy"))
 

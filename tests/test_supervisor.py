@@ -302,10 +302,6 @@ class TestCampaignUnderChaos:
             "campaign.points_quarantined").value
         assert after - before == result.summary()["poison"]
 
-    def test_process_faults_require_workers(self, grid):
-        with pytest.raises(ConfigurationError, match="workers"):
-            CampaignRunner(grid, process_faults=kill_plan(max_fires=1))
-
 
 # -- checkpoint integrity and recovery ---------------------------------------
 
