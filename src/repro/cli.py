@@ -24,7 +24,8 @@ Commands:
 
 Ctrl-C anywhere exits 130 after a clean wrap-up (campaigns keep their
 checkpoint; ``serve`` drains in-flight requests) instead of dumping a
-traceback.
+traceback; library errors exit with one ``error: <message>`` line
+too (see :func:`main`).
 
 Every subcommand accepts the global observability flags (before *or*
 after the subcommand name):
@@ -148,14 +149,10 @@ def _cmd_spec(args: argparse.Namespace) -> int:
     import json
 
     from .config import ExperimentSpec
-    from .errors import ConfigurationError
     try:
         spec = ExperimentSpec.from_dict(json.loads(args.json))
     except json.JSONDecodeError as exc:
         print(f"error: spec is not valid JSON: {exc}", file=sys.stderr)
-        return 2
-    except ConfigurationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
         return 2
     res = spec.run()
     if not res.feasible:
@@ -445,7 +442,7 @@ def _cmd_submit(args: argparse.Namespace) -> int:
 def _submit_and_report(args: argparse.Namespace, client) -> int:
     import json
 
-    from .errors import OverloadedError, ServeError
+    from .errors import OverloadedError
 
     if args.json is None:
         print("error: provide a spec JSON (or --shutdown)",
@@ -466,9 +463,6 @@ def _submit_and_report(args: argparse.Namespace, client) -> int:
               f"limit {d['limit']}) — back off and retry",
               file=sys.stderr)
         return 75  # EX_TEMPFAIL
-    except ServeError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     print(f"job {sub['job_id']} "
           f"({'coalesced' if sub['attached'] > 1 else sub['state']}"
           f"{', cached' if sub.get('from_cache') else ''}), "
@@ -906,7 +900,11 @@ class _TelemetryFlusher:
 
 
 def main(argv: list[str] | None = None) -> int:
-    """CLI entry point; returns the exit code."""
+    """CLI entry point; returns the exit code.
+
+    0 ok, 1 failed run, 2 usage, 75 pool closed, 130 interrupted (the
+    table in docs/usage.md).
+    """
     args = build_parser().parse_args(argv)
 
     from .obs import get_tracer, log_event, set_verbosity
@@ -930,7 +928,7 @@ def main(argv: list[str] | None = None) -> int:
                 parent_id=sp.parent_id, **sp.attrs)
     if trace_out is not None or verbose >= 2:
         tracer.enable()
-    from .errors import PoolClosedError
+    from .errors import ConfigurationError, PoolClosedError, ReproError
     try:
         with tracer.span(f"cli.{args.command}"):
             rc = args.func(args)
@@ -940,6 +938,10 @@ def main(argv: list[str] | None = None) -> int:
         # checkpoint) or let the serve broker rebuild its pool.
         print(f"error: {exc}", file=sys.stderr)
         rc = 75
+    except ReproError as exc:
+        # a ConfigurationError is a usage error, like argparse's
+        print(f"error: {exc}", file=sys.stderr)
+        rc = 2 if isinstance(exc, ConfigurationError) else 1
     except KeyboardInterrupt:
         # A Ctrl-C mid-run must not dump a traceback: campaigns have
         # already checkpointed every finished point and `serve` drains

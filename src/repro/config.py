@@ -10,10 +10,53 @@ a plain dict for storage in result logs.
 
 from __future__ import annotations
 
+import typing
 from dataclasses import asdict, dataclass, field, replace
 from dataclasses import fields as dataclass_fields
 
 from .errors import ConfigurationError
+
+
+def fields_to_dict(obj) -> dict:
+    """A flat dataclass as a JSON-ready dict, ``None`` fields left out.
+
+    Fields keep their declaration order; :func:`fields_from_dict` is
+    the inverse.
+    """
+    return {f.name: getattr(obj, f.name) for f in dataclass_fields(obj)
+            if getattr(obj, f.name) is not None}
+
+
+def fields_from_dict(cls, data: dict, what: str):
+    """Strict parse of a flat dataclass ``cls`` from its JSON object.
+
+    Unknown keys are named and rejected. Each value must have its
+    field's type — int, float, str or bool — except that an int widens
+    to float, and ``null`` is taken only by an ``X | None`` field.
+    Errors are :class:`ConfigurationError` naming ``what`` and the key.
+    """
+    if not isinstance(data, dict):
+        raise ConfigurationError(
+            f"{what} must be a JSON object, got {type(data).__name__}")
+    unknown = sorted(set(data) - {f.name for f in dataclass_fields(cls)})
+    if unknown:
+        raise ConfigurationError(
+            f"unknown {what} key(s): {', '.join(unknown)}")
+    hints = typing.get_type_hints(cls)
+    kwargs = {}
+    for name, value in data.items():
+        kind, *rest = typing.get_args(hints[name]) or (hints[name],)
+        if value is None and type(None) in rest:
+            continue
+        if kind is float and type(value) is int:
+            value = float(value)
+        if not isinstance(value, kind) or (kind is int
+                                           and isinstance(value, bool)):
+            raise ConfigurationError(
+                f"{what} key {name!r} must be {kind.__name__}, got "
+                f"{value!r}")
+        kwargs[name] = value
+    return cls(**kwargs)
 
 
 @dataclass(frozen=True)

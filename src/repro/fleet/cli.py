@@ -22,8 +22,9 @@ Three verbs:
   failure-ledger format (``--ledger-out``, integrity-checked).
 
 Exit codes follow the repo convention: 0 success, 1 nothing finished,
-2 usage, 75 pool closed mid-run (``PoolClosedError`` propagates to
-:func:`repro.cli.main`, which maps it — same as campaign/chaos/serve).
+2 usage, 75 pool closed mid-run. A ``ConfigurationError`` (exit 2) or
+``PoolClosedError`` (exit 75) propagates to :func:`repro.cli.main`,
+which maps it — same as campaign/chaos/serve.
 """
 
 from __future__ import annotations
@@ -69,19 +70,7 @@ def register(sub, *, add_obs_flags, add_response_cache) -> None:
         "sweep",
         help="policy x seed campaign; prints the policy comparison")
     _add_scenario_flags(sweep)
-    sweep.add_argument("--policies", nargs="*", default=None,
-                       help="policies to compare (default: all)")
-    sweep.add_argument("--seeds", type=int, nargs="*", default=None,
-                       help="seeds per policy (default: the --seed "
-                            "value)")
-    sweep.add_argument("--workers", type=int, default=None, metavar="N",
-                       help="evaluate scenarios over N worker processes "
-                            "(default: in-process serial; the campaign "
-                            "document is byte-identical either way)")
-    sweep.add_argument("--chunk-size", type=int, default=None,
-                       metavar="N", help="scenarios per worker dispatch")
-    sweep.add_argument("--out", default=None, metavar="PATH",
-                       help="write the canonical campaign JSON there")
+    _add_campaign_flags(sweep)
     add_response_cache(sweep)
     add_obs_flags(sweep)
     sweep.set_defaults(func=_cmd_sweep)
@@ -93,15 +82,7 @@ def register(sub, *, add_obs_flags, add_response_cache) -> None:
              "optionally composed with process-level worker faults")
     _add_scenario_flags(chaos)
     _add_fault_flags(chaos)
-    chaos.add_argument("--policies", nargs="*", default=None,
-                       help="policies to compare (default: all)")
-    chaos.add_argument("--seeds", type=int, nargs="*", default=None,
-                       help="seeds per policy (default: the --seed "
-                            "value)")
-    chaos.add_argument("--workers", type=int, default=None, metavar="N",
-                       help="evaluate scenarios over N worker processes")
-    chaos.add_argument("--chunk-size", type=int, default=None,
-                       metavar="N", help="scenarios per worker dispatch")
+    _add_campaign_flags(chaos)
     chaos.add_argument("--inject", nargs="*", default=None,
                        metavar="KIND[:PROB[:MAX]]",
                        help="process-level faults against the worker "
@@ -112,12 +93,27 @@ def register(sub, *, add_obs_flags, add_response_cache) -> None:
                        help="write the incident ledger there "
                             "(resilience failure-ledger JSON; "
                             "integrity-checked after writing)")
-    chaos.add_argument("--out", default=None, metavar="PATH",
-                       help="write the canonical campaign JSON there "
-                            "(completed scenarios only)")
     add_response_cache(chaos)
     add_obs_flags(chaos)
     chaos.set_defaults(func=_cmd_chaos)
+
+
+def _add_campaign_flags(p: argparse.ArgumentParser) -> None:
+    """The policy x seed campaign surface ``sweep`` and ``chaos``
+    share."""
+    p.add_argument("--policies", nargs="*", default=None,
+                   help="policies to compare (default: all)")
+    p.add_argument("--seeds", type=int, nargs="*", default=None,
+                   help="seeds per policy (default: the --seed value)")
+    p.add_argument("--workers", type=int, default=1, metavar="N",
+                   help="evaluate scenarios over N worker processes "
+                        "(default 1: inline; the campaign document is "
+                        "byte-identical at every worker count)")
+    p.add_argument("--chunk-size", type=int, default=None, metavar="N",
+                   help="scenarios per worker dispatch")
+    p.add_argument("--out", default=None, metavar="PATH",
+                   help="write the canonical campaign JSON there "
+                        "(completed scenarios only)")
 
 
 def _add_fault_flags(p: argparse.ArgumentParser) -> None:
@@ -337,29 +333,49 @@ def _cmd_run(args: argparse.Namespace) -> int:
     return 0
 
 
-def _split_poisoned(results):
-    """Partition a result list into (completed, poisoned markers)."""
-    from ..parallel import Poisoned
+def _campaign_axes(args: argparse.Namespace):
+    """``(policies, seeds)`` of a campaign verb."""
+    from .policies import POLICY_NAMES
 
+    return (tuple(args.policies or POLICY_NAMES),
+            tuple(args.seeds or (args.seed,)))
+
+
+def _run_campaign(args: argparse.Namespace, *, faults=None,
+                  fault_plan=None):
+    """Run the policy x seed campaign, every scenario carrying the
+    facility plan ``faults``, the pool under the process-level
+    ``fault_plan``; ``(completed results, poisoned markers)``."""
+    from ..parallel import Poisoned
+    from .sim import run_scenarios
+
+    policies, seeds = _campaign_axes(args)
+    scenarios = [
+        _scenario_from_args(args, policy=policy, seed=seed,
+                            faults=faults)
+        for policy in policies for seed in seeds
+    ]
+    results = run_scenarios(scenarios, workers=args.workers,
+                            chunk_size=args.chunk_size,
+                            fault_plan=fault_plan)
     done = [r for r in results if not isinstance(r, Poisoned)]
     poisoned = [r for r in results if isinstance(r, Poisoned)]
     return done, poisoned
 
 
-def _cmd_sweep(args: argparse.Namespace) -> int:
-    from .policies import POLICY_NAMES
-    from .sim import results_json, run_scenarios
+def _write_campaign(args: argparse.Namespace, results) -> None:
+    """Write the canonical campaign JSON to ``--out``, if given."""
+    from .sim import results_json
 
+    if args.out:
+        with open(args.out, "w", encoding="utf-8") as fh:
+            fh.write(results_json(results) + "\n")
+        print(f"campaign JSON written to {args.out}")
+
+
+def _cmd_sweep(args: argparse.Namespace) -> int:
     _configure_cache(args)
-    policies = tuple(args.policies) if args.policies else POLICY_NAMES
-    seeds = tuple(args.seeds) if args.seeds else (args.seed,)
-    scenarios = [
-        _scenario_from_args(args, policy=policy, seed=seed)
-        for policy in policies for seed in seeds
-    ]
-    results, poisoned = _split_poisoned(
-        run_scenarios(scenarios, workers=args.workers,
-                      chunk_size=args.chunk_size))
+    results, poisoned = _run_campaign(args)
 
     header = (f"{'policy':<14} {'seed':>5} {'Gc/s':>8} {'work/MJ':>9} "
               f"{'PUE':>7} {'max C':>6} {'stall':>7} {'pend':>6}")
@@ -372,10 +388,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
               f"{r.stalled_board_steps:>7} {r.jobs_pending_end:>6}")
     for p in poisoned:
         print(f"QUARANTINED {p.key}: {p.reason} ({p.crashes} crashes)")
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(results_json(results) + "\n")
-        print(f"campaign JSON written to {args.out}")
+    _write_campaign(args, results)
     return 0 if results else 1
 
 
@@ -394,13 +407,9 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
     from ..resilience import (PROCESS_FAULT_KINDS, FaultSpec,
                               ProcessFaultPlan)
     from .faults import incident_ledger_entries
-    from .policies import POLICY_NAMES
-    from .sim import results_json, run_scenarios
 
     _configure_cache(args)
     plan = _fault_plan_from_args(args)
-    if plan.is_null:
-        plan = None
     proc_plan = None
     if args.inject:
         specs = [FaultSpec.parse(s) for s in args.inject]
@@ -412,24 +421,16 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
             return 2
         proc_plan = ProcessFaultPlan(specs=tuple(specs), seed=args.seed)
 
-    policies = tuple(args.policies) if args.policies else POLICY_NAMES
-    seeds = tuple(args.seeds) if args.seeds else (args.seed,)
-    scenarios = [
-        _scenario_from_args(args, policy=policy, seed=seed,
-                            faults=plan)
-        for policy in policies for seed in seeds
-    ]
-    n_faults = sum(1 for s in scenarios if s.faults is not None)
-    print(f"fleet chaos: {len(scenarios)} scenarios "
+    policies, seeds = _campaign_axes(args)
+    print(f"fleet chaos: {len(policies) * len(seeds)} scenarios "
           f"({len(policies)} policies x {len(seeds)} seeds), "
-          f"facility faults {'on' if n_faults else 'OFF (all rates 0)'}"
+          f"facility faults "
+          f"{'OFF (all rates 0)' if plan.is_null else 'on'}"
           f", process faults "
           f"{'on' if proc_plan is not None else 'off'}, "
-          f"workers {args.workers or 'serial'}", flush=True)
-    results, poisoned = _split_poisoned(
-        run_scenarios(scenarios, workers=args.workers,
-                      chunk_size=args.chunk_size,
-                      fault_plan=proc_plan))
+          f"workers {args.workers}", flush=True)
+    results, poisoned = _run_campaign(args, faults=plan,
+                                      fault_plan=proc_plan)
 
     header = (f"{'policy':<14} {'seed':>5} {'Gc/s':>8} {'avail':>7} "
               f"{'MTTR h':>7} {'incid':>6} {'requeue':>8} "
@@ -478,9 +479,6 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
             return 1
         print(f"ledger: {args.ledger_out} (integrity ok, "
               f"{len(parsed)} entries)")
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(results_json(results) + "\n")
-        print(f"campaign JSON written to {args.out}")
+    _write_campaign(args, results)
     return 0 if results else 1
 

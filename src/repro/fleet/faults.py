@@ -49,10 +49,11 @@ function of ``(plan, config, seed)``: per-resource streams are
 version-dependent RNG), repairs are drawn from seeded exponentials,
 and a resource's next fault is always drawn *after* its repair
 completes, so per-resource fault intervals never overlap. A plan whose
-rates are all zero is normalized away entirely
-(:attr:`FleetFaultPlan.is_null` — the scenario drops it to ``None``),
-which makes the zero-rate-equals-baseline byte identity hold by
-construction.
+rates are all zero has an empty timeline, and the simulator runs the
+same step loop over it as over a fault-free scenario's. The scenario
+still normalizes such a plan to ``None`` (:attr:`FleetFaultPlan.
+is_null`), so its wire form, serve cache key and result (which then
+carries no availability report) are the fault-free scenario's too.
 
 The incident ledger
 -------------------
@@ -70,6 +71,7 @@ import math
 import random
 from dataclasses import dataclass
 
+from ..config import fields_from_dict, fields_to_dict
 from ..errors import ConfigurationError
 from ..parallel import derive_seed
 
@@ -210,55 +212,12 @@ class FleetFaultPlan:
 
     def to_dict(self) -> dict:
         """JSON-ready form (inverse of :meth:`from_dict`)."""
-        return {
-            "aging_years_per_sim_hour": self.aging_years_per_sim_hour,
-            "coating": self.coating,
-            "chip_mttf_years": self.chip_mttf_years,
-            "pump_loss_per_tank_hour": self.pump_loss_per_tank_hour,
-            "fouling_per_tank_hour": self.fouling_per_tank_hour,
-            "fouling_factor": self.fouling_factor,
-            "sensor_fault_per_tank_hour":
-                self.sensor_fault_per_tank_hour,
-            "sensor_offset_c": self.sensor_offset_c,
-            "board_repair_hours": self.board_repair_hours,
-            "chip_repair_hours": self.chip_repair_hours,
-            "pump_repair_hours": self.pump_repair_hours,
-            "sensor_repair_hours": self.sensor_repair_hours,
-            "emergency_margin_c": self.emergency_margin_c,
-            "isolation_margin_c": self.isolation_margin_c,
-            "isolate_on_pump_loss": self.isolate_on_pump_loss,
-        }
+        return fields_to_dict(self)
 
     @classmethod
     def from_dict(cls, data: dict) -> "FleetFaultPlan":
         """Strict parse: unknown keys are named and rejected."""
-        if not isinstance(data, dict):
-            raise ConfigurationError(
-                f"fault plan must be a JSON object, got "
-                f"{type(data).__name__}")
-        known = {
-            "aging_years_per_sim_hour", "coating", "chip_mttf_years",
-            "pump_loss_per_tank_hour", "fouling_per_tank_hour",
-            "fouling_factor", "sensor_fault_per_tank_hour",
-            "sensor_offset_c", "board_repair_hours",
-            "chip_repair_hours", "pump_repair_hours",
-            "sensor_repair_hours", "emergency_margin_c",
-            "isolation_margin_c", "isolate_on_pump_loss",
-        }
-        unknown = sorted(set(data) - known)
-        if unknown:
-            raise ConfigurationError(
-                f"unknown fault plan key(s): {', '.join(unknown)}")
-        kwargs: dict = {}
-        if "coating" in data:
-            kwargs["coating"] = str(data["coating"])
-        if "isolate_on_pump_loss" in data:
-            kwargs["isolate_on_pump_loss"] = bool(
-                data["isolate_on_pump_loss"])
-        for name in known - {"coating", "isolate_on_pump_loss"}:
-            if name in data:
-                kwargs[name] = float(data[name])
-        return cls(**kwargs)
+        return fields_from_dict(cls, data, "fault plan")
 
 
 @dataclass(frozen=True)

@@ -37,6 +37,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from typing import ClassVar
 
+from ..config import fields_from_dict, fields_to_dict
 from ..cooling.options import cooling_names
 from ..errors import ConfigurationError
 from ..power.processors import chip_names, get_chip
@@ -182,65 +183,12 @@ class FleetConfig:
 
     def to_dict(self) -> dict:
         """JSON-ready form (inverse of :meth:`from_dict`)."""
-        out = {
-            "n_tanks": self.n_tanks,
-            "boards_per_tank": self.boards_per_tank,
-            "chip": self.chip,
-            "n_chips": self.n_chips,
-            "cooling": self.cooling,
-            "supply_temp_c": self.supply_temp_c,
-            "exchange_flow_m3_s": self.exchange_flow_m3_s,
-            "exchanger_effectiveness": self.exchanger_effectiveness,
-            "tank_volume_m3": self.tank_volume_m3,
-            "coupling": self.coupling,
-            "pump_power_w": self.pump_power_w,
-            "slots_per_board": self.slots_per_board,
-            "idle_power_w": self.idle_power_w,
-            "step_s": self.step_s,
-            "reuse_fraction": self.reuse_fraction,
-            "non_cooling_overhead_fraction":
-                self.non_cooling_overhead_fraction,
-        }
-        if self.threshold_c is not None:
-            out["threshold_c"] = self.threshold_c
-        return out
+        return fields_to_dict(self)
 
     @classmethod
     def from_dict(cls, data: dict) -> "FleetConfig":
         """Strict parse: unknown keys are named and rejected."""
-        if not isinstance(data, dict):
-            raise ConfigurationError(
-                f"fleet config must be a JSON object, got "
-                f"{type(data).__name__}")
-        known = {
-            "n_tanks", "boards_per_tank", "chip", "n_chips", "cooling",
-            "threshold_c", "supply_temp_c", "exchange_flow_m3_s",
-            "exchanger_effectiveness", "tank_volume_m3", "coupling",
-            "pump_power_w", "slots_per_board", "idle_power_w",
-            "step_s", "reuse_fraction", "non_cooling_overhead_fraction",
-        }
-        unknown = sorted(set(data) - known)
-        if unknown:
-            raise ConfigurationError(
-                f"unknown fleet config key(s): {', '.join(unknown)}")
-        kwargs: dict = {}
-        for name in ("n_tanks", "boards_per_tank", "n_chips",
-                     "slots_per_board"):
-            if name in data:
-                kwargs[name] = int(data[name])
-        for name in ("chip", "cooling"):
-            if name in data:
-                kwargs[name] = str(data[name])
-        for name in ("supply_temp_c", "exchange_flow_m3_s",
-                     "exchanger_effectiveness", "tank_volume_m3",
-                     "coupling", "pump_power_w", "idle_power_w",
-                     "step_s", "reuse_fraction",
-                     "non_cooling_overhead_fraction"):
-            if name in data:
-                kwargs[name] = float(data[name])
-        if data.get("threshold_c") is not None:
-            kwargs["threshold_c"] = float(data["threshold_c"])
-        return cls(**kwargs)
+        return fields_from_dict(cls, data, "fleet config")
 
 
 @dataclass(frozen=True)

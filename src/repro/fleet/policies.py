@@ -1,8 +1,9 @@
 """Placement / scheduling policies for the fleet simulator.
 
-At every step the simulator offers the policy a tuple of
+At every step the simulator offers the policy a collection of
 :class:`BoardView` snapshots — one per board with at least one free
-slot — and the policy picks the board the next queued job lands on.
+slot, in board order — and the policy picks the board the next queued
+job lands on.
 Policies are deliberately *stateless functions of the views* plus at
 most a cursor (round-robin), so a policy decision is reproducible from
 the event stream alone.
@@ -30,7 +31,7 @@ Degraded-mode scheduling (fault campaigns)
 
 Under a :class:`~repro.fleet.faults.FleetFaultPlan` the simulator
 changes what the policy *sees*, never how it decides: retired boards
-and boards in isolated tanks are excluded from the view tuple
+and boards in isolated tanks are excluded from the views
 entirely (they take no work until repaired), jobs they held re-enter
 the queue head for re-placement through the same ``select`` call, and
 ``headroom_c`` is computed from the tank's *sensor* reading — so a
@@ -43,7 +44,7 @@ fault-free scenarios see byte-identical views.
 
 from __future__ import annotations
 
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, Collection, NamedTuple
 
 from ..errors import ConfigurationError
 
@@ -85,7 +86,7 @@ class PlacementPolicy:
     #: registry key; subclasses set it.
     name = "abstract"
 
-    def select(self, views: Sequence[BoardView]) -> BoardView:
+    def select(self, views: Collection[BoardView]) -> BoardView:
         """Choose among boards with free slots (``views`` non-empty).
 
         The simulator guarantees every view has ``free_slots > 0`` and
@@ -108,7 +109,7 @@ class RoundRobinPolicy(PlacementPolicy):
     def reset(self) -> None:
         self._cursor = 0
 
-    def select(self, views: Sequence[BoardView]) -> BoardView:
+    def select(self, views: Collection[BoardView]) -> BoardView:
         # first free board at or after the cursor, wrapping
         span = _cursor_span(views)
         cursor = self._cursor
@@ -119,7 +120,7 @@ class RoundRobinPolicy(PlacementPolicy):
         return chosen
 
 
-def _cursor_span(views: Sequence[BoardView]) -> int:
+def _cursor_span(views: Collection[BoardView]) -> int:
     """Modulus for the round-robin rotation (total board count)."""
     return max(v.board for v in views) + 1
 
@@ -129,7 +130,7 @@ class LeastLoadedPolicy(PlacementPolicy):
 
     name = "least-loaded"
 
-    def select(self, views: Sequence[BoardView]) -> BoardView:
+    def select(self, views: Collection[BoardView]) -> BoardView:
         return min(views, key=lambda v: (v.running, v.board))
 
 
@@ -143,7 +144,7 @@ class ThermalAwarePolicy(PlacementPolicy):
 
     name = "thermal-aware"
 
-    def select(self, views: Sequence[BoardView]) -> BoardView:
+    def select(self, views: Collection[BoardView]) -> BoardView:
         return min(views,
                    key=lambda v: (-v.headroom_c, v.running, v.board))
 

@@ -50,6 +50,15 @@ loop-internal heat (it leaves one tank's books and enters another's
 inlet), so facility "removed" is simply the sum of per-tank exchange
 terms.
 
+Faults
+------
+
+Every scenario runs one step loop. Its fault plan becomes a timeline
+of fault/repair events up front, and a scenario without a plan runs
+over the empty timeline, where every fault term keeps its plain value.
+Only the report differs: ``availability`` and ``incidents`` are filled
+in when the scenario carries a plan.
+
 Scenario campaigns
 ------------------
 
@@ -75,7 +84,7 @@ from ..parallel import ParallelConfig, run_chunked
 from ..power.processors import get_chip
 from ..thermal.hotspot import model_for
 from .events import Event, EventQueue, canonical_event_line
-from .faults import generate_fault_timeline
+from .faults import FleetFaultPlan, generate_fault_timeline
 from .model import FleetConfig, FleetScenario
 from .policies import BoardView, get_policy
 from .workload import FleetJob, generate_arrivals
@@ -206,8 +215,7 @@ class FleetResult:
     event_digest: str
     events: tuple[str, ...] | None = None
     #: availability/goodput/MTTR accounting — None unless the scenario
-    #: carried a fault plan (keeps fault-free results byte-identical
-    #: to their pre-fault-layer form)
+    #: carried a fault plan
     availability: dict[str, Any] | None = None
     #: the incident ledger: one record per fault/isolation, with
     #: open incidents carrying ``t_end_us: None``
@@ -376,20 +384,14 @@ def _simulate_inner(scenario: FleetScenario,
     heat_cap = cfg.tank_heat_capacity_j_k()
     coupling = cfg.coupling
 
-    # --- fault engine state (scenarios without a plan never touch it,
-    # and every faulted-only branch below is guarded so the fault-free
-    # arithmetic stays byte-for-byte the pre-fault-layer code path) ---
-    plan = scenario.faults
-    faulted = plan is not None
-    if faulted:
-        with span("fleet.faults.timeline", boards=n_boards,
-                  tanks=n_tanks):
-            timeline = generate_fault_timeline(plan, cfg, scenario.seed,
-                                               n_steps * dt)
-        for fe in timeline:
-            queue.push(Event(fe.time_us, fe.action, fe))
-        trip_water_c = (cfg.effective_threshold_c()
-                        - plan.isolation_margin_c)
+    # --- fault engine state (no plan: the inert plan's empty timeline)
+    plan = scenario.faults or FleetFaultPlan()
+    with span("fleet.faults.timeline", boards=n_boards, tanks=n_tanks):
+        timeline = generate_fault_timeline(plan, cfg, scenario.seed,
+                                           n_steps * dt)
+    for fe in timeline:
+        queue.push(Event(fe.time_us, fe.action, fe))
+    trip_water_c = cfg.effective_threshold_c() - plan.isolation_margin_c
     board_down = [False] * n_boards
     dead_in_tank = [0] * n_tanks
     pump_ok = [True] * n_tanks
@@ -470,69 +472,53 @@ def _simulate_inner(scenario: FleetScenario,
         if event.kind == "stop":
             break
         t_us = event.time_us
-        if event.kind == "fault":
+        if event.kind in ("fault", "repair"):
+            # a fault sets its resource's state, the repair clears it
             fe = event.payload
+            on = event.kind == "fault"
+            i = fe.index
             n_req = 0
-            if fe.kind in ("board_retire", "chip_death"):
-                b = fe.index
-                n_req = _requeue_board(b, t_us)
-                if not board_down[b]:
-                    board_down[b] = True
-                    dead_in_tank[b // bpt] += 1
+            if fe.scope == "board":      # board_retire / chip_death
+                if on:
+                    n_req = _requeue_board(i, t_us)
+                if board_down[i] != on:
+                    board_down[i] = on
+                    dead_in_tank[i // bpt] += 1 if on else -1
             elif fe.kind == "pump_loss":
-                pump_ok[fe.index] = False
+                pump_ok[i] = not on
             elif fe.kind == "fouling":
-                fouled[fe.index] = True
+                fouled[i] = on
             elif fe.kind == "sensor_stuck":
-                sensor_stuck[fe.index] = water[fe.index]
+                sensor_stuck[i] = water[i] if on else None
             else:                        # sensor_offset
-                sensor_delta[fe.index] = plan.sensor_offset_c
-            jobs_requeued += n_req
-            _open_incident(fe.kind, fe.scope, fe.index, t_us, n_req)
-            emit({"t_us": t_us, "ev": "fault", "kind": fe.kind,
-                  "scope": fe.scope, "idx": fe.index,
-                  "requeued": n_req})
-            continue
-        if event.kind == "repair":
-            fe = event.payload
-            if fe.kind in ("board_retire", "chip_death"):
-                b = fe.index
-                if board_down[b]:
-                    board_down[b] = False
-                    dead_in_tank[b // bpt] -= 1
-            elif fe.kind == "pump_loss":
-                pump_ok[fe.index] = True
-            elif fe.kind == "fouling":
-                fouled[fe.index] = False
-            elif fe.kind == "sensor_stuck":
-                sensor_stuck[fe.index] = None
-            else:                        # sensor_offset
-                sensor_delta[fe.index] = 0.0
-            _close_incident(fe.kind, fe.scope, fe.index, t_us)
-            emit({"t_us": t_us, "ev": "repair", "kind": fe.kind,
-                  "scope": fe.scope, "idx": fe.index})
-            if fe.kind == "pump_loss" and isolated[fe.index]:
+                sensor_delta[i] = plan.sensor_offset_c if on else 0.0
+            record = {"t_us": t_us, "ev": event.kind, "kind": fe.kind,
+                      "scope": fe.scope, "idx": i}
+            if on:
+                record["requeued"] = n_req
+                jobs_requeued += n_req
+                _open_incident(fe.kind, fe.scope, i, t_us, n_req)
+            else:
+                _close_incident(fe.kind, fe.scope, i, t_us)
+            emit(record)
+            if not on and fe.kind == "pump_loss" and isolated[i]:
                 # circulation is back: reopen the tank to the loop
-                isolated[fe.index] = False
-                _close_incident("tank_isolated", "tank", fe.index, t_us)
-                emit({"t_us": t_us, "ev": "deisolate",
-                      "tank": fe.index})
+                isolated[i] = False
+                _close_incident("tank_isolated", "tank", i, t_us)
+                emit({"t_us": t_us, "ev": "deisolate", "tank": i})
             continue
 
         # --- per-tank DTM response from step-start water temps -------
-        # Fault-free path: the routine clamp against the true water
-        # temperature. Faulted path: the DTM controller reads the tank
-        # *sensor* (which may be stuck or offset), pump-lost tanks get
-        # an emergency derate margin, and an on-die override clamps
-        # against the true temperature regardless — a lying sensor can
-        # waste performance, never violate the threshold.
+        # The DTM controller reads the tank *sensor* (which may be
+        # stuck or offset), pump-lost tanks get an emergency derate
+        # margin, and an on-die override clamps against the true water
+        # temperature regardless — a lying sensor can waste
+        # performance, never violate the threshold. With no fault
+        # active the target is the water temperature itself: one
+        # lookup.
         f_idx: list[int | None] = [None] * n_tanks
         headroom: list[float] = [0.0] * n_tanks
         for i in range(n_tanks):
-            if not faulted:
-                f_idx[i] = ladder.step_for_water(water[i])
-                headroom[i] = ladder.stall_water_c - water[i]
-                continue
             if (plan.isolate_on_pump_loss and not pump_ok[i]
                     and not isolated[i] and water[i] >= trip_water_c):
                 # runaway response: power the tank off and valve it
@@ -550,49 +536,44 @@ def _simulate_inner(scenario: FleetScenario,
                 f_idx[i] = None
                 headroom[i] = ladder.stall_water_c - water[i]
                 continue
-            if sensor_stuck[i] is not None:
-                reading = sensor_stuck[i]
-            elif sensor_delta[i] != 0.0:
+            reading = sensor_stuck[i]
+            if reading is None:
                 reading = water[i] + sensor_delta[i]
-            else:
-                reading = water[i]
             target = reading
             if not pump_ok[i]:
                 target = reading + plan.emergency_margin_c
                 emergency_clamp_steps += 1
-            idx_s = ladder.step_for_water(target)
-            idx_t = ladder.step_for_water(water[i])
-            if idx_s is None or idx_t is None:
-                if idx_t is None and idx_s is not None:
-                    dtm_override_steps += 1
-                f_idx[i] = None
-            else:
-                if idx_t < idx_s:
-                    dtm_override_steps += 1
-                f_idx[i] = min(idx_s, idx_t)
+            idx = ladder.step_for_water(water[i])     # on-die bound
+            if target != water[i]:
+                idx_s = ladder.step_for_water(target)
+                if idx_s is None:
+                    idx = None
+                elif idx is None or idx < idx_s:
+                    dtm_override_steps += 1   # the on-die bound wins
+                else:
+                    idx = idx_s
+            f_idx[i] = idx
             headroom[i] = ladder.stall_water_c - reading
 
         # --- dispatch pending jobs through the policy -----------------
         if pending:
-            views: list[BoardView] = []
-            slot_of: dict[int, int] = {}
-            for b in range(n_boards):
-                if faulted and (board_down[b] or isolated[b // bpt]):
-                    continue     # failed/powered-off boards take no work
-                running = len(boards[b])
-                if running < slots:
-                    tank = b // bpt
-                    idx = f_idx[tank]
-                    view = BoardView(
-                        board=b, tank=tank, running=running,
-                        free_slots=slots - running,
-                        f_ghz=(ladder.freqs_ghz[idx]
-                               if idx is not None else 0.0),
-                        headroom_c=headroom[tank])
-                    slot_of[b] = len(views)
-                    views.append(view)
+            # board -> view of every up board with a free slot; dict
+            # insertion order keeps the views in board order
+            views: dict[int, BoardView] = {}
+            for tank in range(n_tanks):
+                if isolated[tank]:
+                    continue     # powered-off tanks take no work
+                idx = f_idx[tank]
+                f_ghz = ladder.freqs_ghz[idx] if idx is not None else 0.0
+                for b in range(tank * bpt, (tank + 1) * bpt):
+                    running = len(boards[b])
+                    if running < slots and not board_down[b]:
+                        views[b] = BoardView(
+                            board=b, tank=tank, running=running,
+                            free_slots=slots - running, f_ghz=f_ghz,
+                            headroom_c=headroom[tank])
             while pending and views:
-                choice = policy.select(views)
+                choice = policy.select(views.values())
                 job = pending.popleft()
                 b = choice.board
                 boards[b].append(
@@ -603,14 +584,9 @@ def _simulate_inner(scenario: FleetScenario,
                       "job": job.job_id, "tank": choice.tank,
                       "board": b})
                 if choice.free_slots == 1:
-                    # board is now full: drop its view, keep order
-                    pos = slot_of.pop(b)
-                    views.pop(pos)
-                    for other in list(slot_of):
-                        if slot_of[other] > pos:
-                            slot_of[other] -= 1
+                    del views[b]         # board is now full
                 else:
-                    views[slot_of[b]] = choice._replace(
+                    views[b] = choice._replace(
                         running=choice.running + 1,
                         free_slots=choice.free_slots - 1)
 
@@ -651,11 +627,8 @@ def _simulate_inner(scenario: FleetScenario,
         prev = water[:]
         for i in range(n_tanks):
             idx = f_idx[i]
-            if faulted:
-                up = 0 if isolated[i] else bpt - dead_in_tank[i]
-                down_board_steps += bpt - up
-            else:
-                up = bpt
+            up = 0 if isolated[i] else bpt - dead_in_tank[i]
+            down_board_steps += bpt - up
             if idx is None:
                 active_w = 0.0
                 stalled_steps += up
@@ -667,30 +640,17 @@ def _simulate_inner(scenario: FleetScenario,
             heat_in = it_power * dt
             generated_j += heat_in
             excess = 0.0
-            if faulted:
-                j = i - 1
-                while j >= 0 and isolated[j]:
-                    j -= 1
-                if j >= 0:
+            for d in (-1, 1):    # nearest tank each way still on the loop
+                j = i + d
+                while 0 <= j < n_tanks and isolated[j]:
+                    j += d
+                if 0 <= j < n_tanks:
                     excess += max(0.0, prev[j] - supply)
-                j = i + 1
-                while j < n_tanks and isolated[j]:
-                    j += 1
-                if j < n_tanks:
-                    excess += max(0.0, prev[j] - supply)
-            else:
-                if i > 0:
-                    excess += max(0.0, prev[i - 1] - supply)
-                if i < n_tanks - 1:
-                    excess += max(0.0, prev[i + 1] - supply)
             inlet_eff = supply + coupling * excess
-            if faulted:
-                if isolated[i] or not pump_ok[i]:
-                    cap_eff = 0.0
-                elif fouled[i]:
-                    cap_eff = cap_rate * plan.fouling_factor
-                else:
-                    cap_eff = cap_rate
+            if isolated[i] or not pump_ok[i]:
+                cap_eff = 0.0
+            elif fouled[i]:
+                cap_eff = cap_rate * plan.fouling_factor
             else:
                 cap_eff = cap_rate
             removed = cap_eff * (prev[i] - inlet_eff) * dt
@@ -698,7 +658,7 @@ def _simulate_inner(scenario: FleetScenario,
             water[i] = prev[i] + (heat_in - removed) / heat_cap
             if water[i] > peak_water[i]:
                 peak_water[i] = water[i]
-            if faulted and up > 0:
+            if up > 0:
                 # worst-case die temperature this step (step-start
                 # water, the same basis as the DTM decision): active
                 # boards shift the ladder's reference hotspot by the
@@ -722,8 +682,9 @@ def _simulate_inner(scenario: FleetScenario,
     completed_work = _completed_work(arrivals, boards, pending,
                                      completed)
 
+    # only the report depends on whether the scenario carries a plan
     availability: dict[str, Any] | None = None
-    if faulted:
+    if scenario.faults is not None:
         closed = [inc for inc in incidents
                   if inc["t_end_us"] is not None]
         mttr_h = None
@@ -773,7 +734,7 @@ def _simulate_inner(scenario: FleetScenario,
         event_digest=digest.hexdigest(),
         events=tuple(kept) if kept is not None else None,
         availability=availability,
-        incidents=tuple(incidents) if faulted else (),
+        incidents=tuple(incidents),
     )
 
 
@@ -801,13 +762,13 @@ def _scenario_task(payload: Any, scenario_dict: dict) -> FleetResult:
 
 
 def run_scenarios(scenarios: Sequence[FleetScenario], *,
-                  workers: int | None = None,
+                  workers: int = 1,
                   chunk_size: int | None = None,
                   fault_plan=None) -> list[FleetResult]:
     """Evaluate a scenario list, optionally on worker processes.
 
     Results come back in scenario order and are byte-identical at
-    every worker count (``--workers {serial,2,4}`` — the campaign
+    every worker count (``workers=1`` runs inline — the campaign
     engine's standing guarantee plus a deterministic simulator).
 
     ``fault_plan`` is a *process-level*
@@ -819,8 +780,7 @@ def run_scenarios(scenarios: Sequence[FleetScenario], *,
     :class:`~repro.parallel.Poisoned` markers in the result list.
     """
     items = [s.to_dict() for s in scenarios]
-    config = ParallelConfig(workers=workers if workers else 1,
-                            chunk_size=chunk_size or 1)
+    config = ParallelConfig(workers=workers, chunk_size=chunk_size or 1)
     with span("fleet.campaign", scenarios=len(items),
               workers=config.workers):
         return run_chunked(items, _scenario_task, None, config=config,

@@ -172,9 +172,32 @@ class TestWorkload:
 
 class TestModel:
     def test_config_round_trips(self):
+        from repro.serve import spec_hash
+
         cfg = FleetConfig(n_tanks=2, boards_per_tank=3,
                           threshold_c=70.0, reuse_fraction=0.4)
         assert FleetConfig.from_dict(cfg.to_dict()) == cfg
+        # an int on the wire for a float field is the same scenario
+        wire = SMALL.to_dict()
+        wire["fleet"]["supply_temp_c"] = 40
+        back = FleetScenario.from_dict(json.loads(json.dumps(wire)))
+        want = FleetScenario(
+            fleet=FleetConfig(n_tanks=3, boards_per_tank=4,
+                              supply_temp_c=40.0),
+            workload=SMALL.workload, policy=SMALL.policy,
+            seed=SMALL.seed, duration_s=SMALL.duration_s)
+        assert back == want
+        assert type(back.fleet.supply_temp_c) is float
+        assert spec_hash(back) == spec_hash(want)
+        # null or a wrong type for a required field names the key
+        with pytest.raises(ConfigurationError, match="'n_tanks'"):
+            FleetConfig.from_dict({"n_tanks": None})
+        with pytest.raises(ConfigurationError, match="'n_chips'"):
+            FleetConfig.from_dict({"n_chips": True})
+        with pytest.raises(ConfigurationError,
+                           match=r"^unknown fleet config key\(s\): "
+                                 r"n_tankss$"):
+            FleetConfig.from_dict({"n_tankss": 2})
 
     def test_scenario_round_trips_tagged(self):
         d = STALL_PRONE.to_dict()
@@ -342,14 +365,14 @@ class TestDeterminism:
 
     def test_worker_count_byte_identity(self):
         """Satellite guarantee: the campaign document is byte-identical
-        serial, 2-way, and 4-way parallel."""
+        inline, 2-way, and 4-way parallel."""
         scenarios = [SMALL.with_policy(p) for p in POLICY_NAMES]
         docs = {
             workers: results_json(run_scenarios(scenarios,
                                                 workers=workers))
-            for workers in (None, 2, 4)
+            for workers in (1, 2, 4)
         }
-        assert docs[None] == docs[2] == docs[4]
+        assert docs[1] == docs[2] == docs[4]
 
 
 class TestConservation:
@@ -592,6 +615,26 @@ class TestFleetCli:
         lines = events.read_text(encoding="utf-8").splitlines()
         assert all(json.loads(line) for line in lines)
         assert "throughput" in capsys.readouterr().out
+
+    def test_usage_error_exits_2(self, capsys):
+        from repro.cli import main
+
+        assert main(["fleet", "sweep", "--tanks", "0"]) == 2
+        err = capsys.readouterr().err
+        assert err.splitlines() == ["error: need at least one tank"]
+        assert "Traceback" not in err
+
+    def test_run_error_exits_1(self, monkeypatch, capsys):
+        from repro.cli import main
+        from repro.errors import SimulationError
+
+        def boom(*args, **kwargs):
+            raise SimulationError("diverged")
+
+        monkeypatch.setattr("repro.fleet.sim.simulate", boom)
+        assert main(["fleet", "run", "--tanks", "2", "--boards", "3",
+                     "--hours", "0.25"]) == 1
+        assert capsys.readouterr().err == "error: diverged\n"
 
     def test_sweep_compares_policies(self, tmp_path, capsys):
         from repro.cli import main
