@@ -8,6 +8,9 @@ parallel without giving up the guarantees the rest of the system makes:
   ProcessPoolExecutor` engine with deterministic result ordering,
   per-chunk completion hooks (checkpoint granularity), and worker
   metrics repatriated into the parent registry;
+* :mod:`repro.parallel.blas` — reads and sets the thread count of
+  every loaded OpenBLAS; the engine runs every chunk at one thread
+  per process;
 * :mod:`repro.parallel.seeds` — SHA-256 seed derivation so every
   point's RNG stream depends only on (campaign seed, point key), never
   on which worker ran it or in what order;
@@ -29,6 +32,7 @@ hash — *what* was computed does not depend on *how fast* it was.
 
 from __future__ import annotations
 
+from .blas import blas_threads, set_blas_threads
 from .pool import (
     ParallelConfig,
     chunk_indices,
@@ -45,8 +49,10 @@ __all__ = [
     "SupervisedPool",
     "SupervisorConfig",
     "WorkerPool",
+    "blas_threads",
     "chunk_indices",
     "derive_seed",
     "run_chunked",
+    "set_blas_threads",
     "snapshot_delta",
 ]

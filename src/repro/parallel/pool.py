@@ -30,6 +30,12 @@ the reference the multi-worker paths are tested bit-for-bit against.
 A chunk with a deadline (``task_timeout_s``) or a process fault plan
 always runs under the supervised pool, even at one worker: an inline
 chunk cannot be killed.
+
+Every chunk runs at one OpenBLAS thread per process
+(:mod:`repro.parallel.blas`): pool workers set it once when they
+start, and the inline engine sets it around its chunk loop and then
+restores the caller's counts. The ``parallel.blas_pinned`` gauge
+counts the libraries set (0 when none was found).
 """
 
 from __future__ import annotations
@@ -41,8 +47,9 @@ from dataclasses import dataclass
 from typing import Any, Callable, Sequence
 
 from ..errors import ConfigurationError
-from ..obs import (counter, get_registry, get_tracer, histogram, log_event,
-                   span)
+from ..obs import (counter, gauge, get_registry, get_tracer, histogram,
+                   log_event, span)
+from .blas import set_blas_threads
 
 __all__ = [
     "ParallelConfig",
@@ -183,7 +190,8 @@ def _init_worker(fn: Callable[[Any, Any], Any], payload: Any) -> None:
     Also resets the tracer a forked child inherited from its parent —
     without this a worker would repatriate copies of spans the parent
     already holds, duplicating them in the merged trace. Tracing is
-    re-enabled per task when a trace context arrives with it.
+    re-enabled per task when a trace context arrives with it. And it
+    sets every OpenBLAS to one thread for the life of the process.
     """
     global _WORKER_FN, _WORKER_PAYLOAD
     _WORKER_FN = fn
@@ -191,6 +199,15 @@ def _init_worker(fn: Callable[[Any, Any], Any], payload: Any) -> None:
     tracer = get_tracer()
     tracer.disable()
     tracer.reset()
+    _one_blas_thread()
+
+
+def _one_blas_thread() -> dict[str, int]:
+    """Set every loaded OpenBLAS to one thread; return the counts it
+    replaced."""
+    prior = set_blas_threads(1)
+    gauge("parallel.blas_pinned").set(len(prior))
+    return prior
 
 
 def _run_chunk(chunk: list[tuple[int, Any]],
@@ -268,13 +285,17 @@ def run_chunked(items: Sequence[Any],
         must_supervise = (fault_plan is not None
                           or cfg.task_timeout_s is not None)
         if cfg.workers == 1 and not must_supervise:
-            for chunk in chunks:
-                t0 = time.perf_counter()
-                done = [(idx, fn(payload, item)) for idx, item in chunk]
-                _note_chunk(done, time.perf_counter() - t0, inline=True)
-                results.update(done)
-                if on_chunk is not None:
-                    on_chunk(done)
+            prior = _one_blas_thread()
+            try:
+                for chunk in chunks:
+                    t0 = time.perf_counter()
+                    done = [(idx, fn(payload, item)) for idx, item in chunk]
+                    _note_chunk(done, time.perf_counter() - t0, inline=True)
+                    results.update(done)
+                    if on_chunk is not None:
+                        on_chunk(done)
+            finally:
+                set_blas_threads(prior)
         elif cfg.supervised or must_supervise:
             _run_supervised(chunks, fn, payload, cfg, results,
                             on_chunk, fault_plan)

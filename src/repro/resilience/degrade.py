@@ -10,9 +10,13 @@ down.
 
 Two concrete ladders cover the pipeline's expensive tiers:
 
-* :func:`freq_point_rungs` — sparse-LU grid
-  :class:`~repro.thermal.hotspot.ThermalModel` falling back to the
-  closed-form :class:`~repro.thermal.analytic.AnalyticStackModel`;
+* :func:`freq_point_rungs` — the grid
+  :class:`~repro.thermal.hotspot.ThermalModel`, answering through its
+  structured response operator (:mod:`repro.thermal.response`),
+  falling back to the closed-form
+  :class:`~repro.thermal.analytic.AnalyticStackModel`. The first rung
+  keeps its historical name ``sparse-lu``: checkpoints and ledgers
+  record it in ``rungs_tried``;
 * :func:`perf_model_rungs` — flit-level-measured NoC latencies
   (:func:`noc_cycles_flitlevel`) falling back to the packet-formula
   analytic tier (:mod:`repro.perfsim.analytic`).

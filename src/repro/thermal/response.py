@@ -302,11 +302,19 @@ class ResponseOperator:
                    block_names=tuple(meta["block_names"]))
 
 
+@lru_cache(maxsize=16)
 def _unit_power_basis(fp, grid: int) -> np.ndarray:
     """``(grid**2, blocks)`` cell watts of 1 W in each block, in
-    floorplan declaration order."""
-    return np.stack([fp.power_map({b.name: 1.0}, grid, grid).ravel()
-                     for b in fp.blocks], axis=1)
+    floorplan declaration order.
+
+    Memoized on the (frozen, hashable) floorplan and the grid, so a
+    process rasterizes each die floorplan once rather than once per
+    build; the shared array is read-only.
+    """
+    basis = np.stack([fp.power_map({b.name: 1.0}, grid, grid).ravel()
+                      for b in fp.blocks], axis=1)
+    basis.setflags(write=False)
+    return basis
 
 
 def build_response_operator(stack: StackConfig, cooling: "CoolingOption",
@@ -321,7 +329,7 @@ def build_response_operator(stack: StackConfig, cooling: "CoolingOption",
     column, as dense GEMMs in the dies' shared lateral eigenbasis, with
     no sparse factorization. Each distinct die floorplan (a rotation
     schedule has at most two) is rasterized into its unit-power basis
-    once.
+    once per process.
 
     Args:
         stack: the chip stack (defines dies, rotations, block basis).

@@ -17,12 +17,16 @@ import pytest
 
 from repro.core.campaign import CampaignRunner, frequency_grid
 from repro.errors import ConfigurationError
+from repro.obs import get_registry
 from repro.obs.metrics import MetricsRegistry
 from repro.parallel import (
     ParallelConfig,
+    WorkerPool,
+    blas_threads,
     chunk_indices,
     derive_seed,
     run_chunked,
+    set_blas_threads,
 )
 from repro.resilience import (
     FaultInjector,
@@ -147,6 +151,65 @@ class TestRunChunked:
         after = get_registry().snapshot()["counters"].get(
             "test_parallel.task_calls", 0)
         assert after - before == 6
+
+
+# -- one OpenBLAS thread per engine process ---------------------------------
+
+def _blas_threads_task(payload, item):
+    return blas_threads()
+
+
+@pytest.fixture
+def loaded_blas():
+    """Each loaded OpenBLAS's count at test start, put back afterwards."""
+    prior = blas_threads()
+    if not prior:
+        pytest.skip("no OpenBLAS loaded in this process")
+    yield prior
+    set_blas_threads(prior)
+
+
+def _blas_pinned() -> float:
+    return get_registry().snapshot()["gauges"]["parallel.blas_pinned"]
+
+
+class TestOneBlasThread:
+    @pytest.mark.parametrize("workers,supervised",
+                             [(1, True), (2, True), (2, False)])
+    def test_engine_chunks_run_at_one_thread(self, loaded_blas, workers,
+                                             supervised):
+        """Inline, on the supervised pool and on the bare executor."""
+        out = run_chunked(list(range(4)), _blas_threads_task, None,
+                          config=ParallelConfig(workers=workers,
+                                                chunk_size=1,
+                                                supervised=supervised))
+        assert out == [{path: 1 for path in loaded_blas}] * 4
+        assert _blas_pinned() == len(loaded_blas)
+
+    def test_serve_worker_pool_runs_at_one_thread(self, loaded_blas):
+        with WorkerPool(_blas_threads_task, None, workers=1) as pool:
+            got = pool.submit(0).result(timeout=60)
+        assert got == {path: 1 for path in loaded_blas}
+
+    def test_inline_engine_restores_the_callers_counts(self, loaded_blas):
+        set_blas_threads(2)
+        run_chunked([0, 1], _blas_threads_task, None)
+        assert blas_threads() == {path: 2 for path in loaded_blas}
+
+    def test_no_openblas_is_a_no_op(self, monkeypatch):
+        from repro.parallel import blas
+        monkeypatch.setattr(blas, "_controls", lambda: ())
+        assert blas.blas_threads() == {}
+        assert blas.set_blas_threads(1) == {}
+        assert run_chunked([1, 2], _square_task, 3) == [3, 12]
+        assert _blas_pinned() == 0
+
+    def test_discovery_never_loads_a_library(self, monkeypatch):
+        """Only already-mapped libraries are opened (RTLD_NOLOAD)."""
+        from repro.parallel import blas
+        monkeypatch.setattr(blas, "_loaded_openblas_paths",
+                            lambda: ["/nonexistent/libopenblas.so.0"])
+        assert blas._controls.__wrapped__() == ()
 
 
 # -- metrics merge -----------------------------------------------------------

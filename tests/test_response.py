@@ -354,6 +354,57 @@ class TestCheckpointByteIdentity:
         # the store was actually exercised
         assert list(store.glob("*.npy"))
 
+    def test_campaign_answers_do_not_depend_on_blas_threads(
+            self, monkeypatch):
+        """The engine runs its points at one BLAS thread; the same
+        points evaluated one by one outside it, with every OpenBLAS at
+        two threads (default package grids, so the matvec threads),
+        give the same answers."""
+        from repro.core.campaign import evaluate_point
+        from repro.parallel import blas_threads, set_blas_threads
+        from repro.resilience import ResilienceOptions
+        from repro.thermal.hotspot import model_cache
+        from repro.thermal.response import response_cache
+        monkeypatch.delenv(STORE_DIR_ENV, raising=False)
+        points = frequency_grid("low-power-cmp", (1, 6), ("water", "air"))
+
+        def answers(records):
+            return {key: (r.status, r.f_ghz, r.max_temp_c)
+                    for key, r in records.items()}
+
+        model_cache().clear()
+        response_cache().clear()
+        engine = CampaignRunner(points).run(resume=False).records
+        model_cache().clear()
+        response_cache().clear()
+        prior = set_blas_threads(2)
+        try:
+            assert set(blas_threads().values()) <= {2}
+            direct = {p.key: evaluate_point(p, ResilienceOptions())
+                      for p in points}
+        finally:
+            set_blas_threads(prior)
+        assert answers(engine) == answers(direct)
+
+    def test_unit_power_basis_is_shared_and_read_only(self):
+        """One basis per floorplan and grid: the bytes a fresh
+        rasterization gives, never writable."""
+        from repro.floorplan.transform import rotate_180
+        from repro.thermal.response import _unit_power_basis
+        fp = get_chip("low-power-cmp").floorplan()
+        for die in (fp, rotate_180(fp)):
+            fresh = np.stack([die.power_map({b.name: 1.0}, 16, 16).ravel()
+                              for b in die.blocks], axis=1)
+            basis = _unit_power_basis(die, 16)
+            assert basis.shape == fresh.shape
+            assert basis.tobytes() == fresh.tobytes()
+            assert not basis.flags.writeable
+            with pytest.raises(ValueError):
+                basis[0, 0] = 1.0
+        # an equal floorplan built anew shares the array
+        assert _unit_power_basis(rotate_180(fp), 16) is \
+            _unit_power_basis(rotate_180(fp), 16)
+
     def test_operator_bits_do_not_depend_on_blas_threads(self):
         """Stores and checkpoints stay byte-identical across hosts whose
         BLAS runs another number of threads (default package grids, so
