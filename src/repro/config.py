@@ -10,6 +10,7 @@ a plain dict for storage in result logs.
 
 from __future__ import annotations
 
+import math
 import typing
 from dataclasses import asdict, dataclass, field, replace
 from dataclasses import fields as dataclass_fields
@@ -25,6 +26,27 @@ def fields_to_dict(obj) -> dict:
     """
     return {f.name: getattr(obj, f.name) for f in dataclass_fields(obj)
             if getattr(obj, f.name) is not None}
+
+
+def require_finite(obj, what: str) -> None:
+    """Reject NaN and ±inf in a dataclass's float fields.
+
+    Floats inside a tuple field (such as a workload trace) are checked
+    per entry. Raises :class:`ConfigurationError` naming ``what`` and
+    the field, so ``json.loads``'s ``NaN``/``Infinity`` and a CLI
+    ``--rate inf`` stop at the config boundary.
+    """
+    for f in dataclass_fields(obj):
+        value = getattr(obj, f.name)
+        entries = (enumerate(value) if isinstance(value, (tuple, list))
+                   else [(None, value)])
+        for i, entry in entries:
+            items = entry if isinstance(entry, (tuple, list)) else (entry,)
+            if any(isinstance(x, float) and not math.isfinite(x)
+                   for x in items):
+                name = f.name if i is None else f"{f.name}[{i}]"
+                raise ConfigurationError(
+                    f"{what} {name!r} must be finite, got {entry!r}")
 
 
 def fields_from_dict(cls, data: dict, what: str):

@@ -16,8 +16,9 @@ Layer map:
 * :mod:`repro.fleet.workload` — seeded rate- or trace-driven arrivals;
 * :mod:`repro.fleet.policies` — round-robin / least-loaded /
   thermal-aware placement;
-* :mod:`repro.fleet.events` — the deterministic event queue (explicit
-  ``(time, kind, seq)`` tie-break) and canonical log lines;
+* :mod:`repro.fleet.events` — the deterministic event order (one
+  merged stream with an explicit ``(time, kind, seq)`` tie-break) and
+  canonical log lines;
 * :mod:`repro.fleet.faults` — the seeded failure/repair engine
   (:class:`FleetFaultPlan`): paper-calibrated board wear, pump loss,
   exchanger fouling, and sensor faults, plus the incident ledger
@@ -31,7 +32,7 @@ Layer map:
 See ``docs/fleet.md`` for the model, its calibration, and its limits.
 """
 
-from .events import Event, EventQueue, canonical_event_line
+from .events import canonical_event_line
 from .faults import (
     FLEET_FAULT_KINDS,
     FleetFaultEvent,
@@ -56,8 +57,6 @@ from .workload import FleetJob, WorkloadConfig, generate_arrivals
 __all__ = [
     "BoardLadder",
     "BoardView",
-    "Event",
-    "EventQueue",
     "FLEET_FAULT_KINDS",
     "FleetConfig",
     "FleetFaultEvent",

@@ -71,7 +71,7 @@ import math
 import random
 from dataclasses import dataclass
 
-from ..config import fields_from_dict, fields_to_dict
+from ..config import fields_from_dict, fields_to_dict, require_finite
 from ..errors import ConfigurationError
 from ..parallel import derive_seed
 
@@ -176,6 +176,7 @@ class FleetFaultPlan:
     isolate_on_pump_loss: bool = True
 
     def __post_init__(self) -> None:
+        require_finite(self, "fault plan")
         for name in ("aging_years_per_sim_hour", "chip_mttf_years",
                      "pump_loss_per_tank_hour", "fouling_per_tank_hour",
                      "sensor_fault_per_tank_hour"):

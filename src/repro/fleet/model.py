@@ -37,7 +37,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from typing import ClassVar
 
-from ..config import fields_from_dict, fields_to_dict
+from ..config import fields_from_dict, fields_to_dict, require_finite
 from ..cooling.options import cooling_names
 from ..errors import ConfigurationError
 from ..power.processors import chip_names, get_chip
@@ -104,6 +104,7 @@ class FleetConfig:
     non_cooling_overhead_fraction: float = 0.02
 
     def __post_init__(self) -> None:
+        require_finite(self, "fleet config")
         if self.n_tanks < 1:
             raise ConfigurationError("need at least one tank")
         if self.boards_per_tank < 1:
@@ -227,6 +228,7 @@ class FleetScenario:
     faults: FleetFaultPlan | None = None
 
     def __post_init__(self) -> None:
+        require_finite(self, "fleet scenario")
         if self.policy not in POLICY_NAMES:
             raise ConfigurationError(
                 f"unknown policy {self.policy!r}; expected one of "
@@ -280,13 +282,20 @@ class FleetScenario:
         faults = None
         if data.get("faults") is not None:
             faults = FleetFaultPlan.from_dict(data["faults"])
+        try:
+            seed = int(data.get("seed", 0))
+            duration_s = float(data.get("duration_s", 3600.0))
+        except (TypeError, ValueError, OverflowError) as exc:
+            # int(Infinity) overflows: still a bad request, not a crash
+            raise ConfigurationError(
+                f"fleet scenario seed/duration_s: {exc}") from None
         return cls(
             fleet=FleetConfig.from_dict(data.get("fleet", {})),
             workload=WorkloadConfig.from_dict(
                 data.get("workload", {"kind": "rate"})),
             policy=str(data.get("policy", "thermal-aware")),
-            seed=int(data.get("seed", 0)),
-            duration_s=float(data.get("duration_s", 3600.0)),
+            seed=seed,
+            duration_s=duration_s,
             label=str(data.get("label", "")),
             faults=faults,
         )

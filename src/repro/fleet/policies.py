@@ -1,9 +1,15 @@
 """Placement / scheduling policies for the fleet simulator.
 
-At every step the simulator offers the policy a collection of
-:class:`BoardView` snapshots — one per board with at least one free
-slot, in board order — and the policy picks the board the next queued
-job lands on.
+At every step the simulator offers the policy the step's boards with
+at least one free slot, in board order (:class:`StepBoards`, one
+column per :class:`BoardView` field). The policy files them once into
+a :class:`FreeBoards` set kept in its own order
+(:meth:`PlacementPolicy.free_boards`), and each queued job then costs
+one :meth:`~PlacementPolicy.select` call: take the first board in that
+order and place the job there, so the board comes back one job
+busier, or leaves the set once full. A pick is O(log V) over V free
+boards rather than a scan of all of them, and only picked boards
+become :class:`BoardView` objects.
 Policies are deliberately *stateless functions of the views* plus at
 most a cursor (round-robin), so a policy decision is reproducible from
 the event stream alone.
@@ -44,14 +50,21 @@ fault-free scenarios see byte-identical views.
 
 from __future__ import annotations
 
-from typing import Callable, Collection, NamedTuple
+import heapq
+from bisect import bisect_left
+from itertools import repeat
+from typing import Callable, Iterable, NamedTuple
 
 from ..errors import ConfigurationError
 
 __all__ = [
+    "BoardRing",
     "BoardView",
+    "FreeBoards",
+    "KeyedBoards",
     "POLICY_NAMES",
     "PlacementPolicy",
+    "StepBoards",
     "get_policy",
 ]
 
@@ -80,17 +93,126 @@ class BoardView(NamedTuple):
     headroom_c: float
 
 
+_new_tuple = tuple.__new__
+
+
+class StepBoards(NamedTuple):
+    """One step's boards with a free slot, as columns in board order.
+
+    Entry ``i`` of every column describes one board. The simulator
+    fills the columns straight from its board arrays, and a policy
+    makes a :class:`BoardView` only for the boards it picks.
+    """
+
+    board: list[int]
+    tank: list[int]
+    running: list[int]
+    free_slots: list[int]
+    f_ghz: list[float]
+    headroom_c: list[float]
+
+    def view(self, i: int, running: int) -> BoardView:
+        """Entry ``i``'s view with ``running`` jobs on the board (more
+        than the step started with once picks have landed there)."""
+        # tuple.__new__ is what BoardView(...) runs after binding its
+        # arguments; this runs once per placed job
+        return _new_tuple(BoardView, (
+            self.board[i], self.tank[i], running,
+            self.free_slots[i] + self.running[i] - running,
+            self.f_ghz[i], self.headroom_c[i]))
+
+
+class FreeBoards:
+    """One step's free boards, kept in a policy's order."""
+
+    __slots__ = ()
+
+    def __bool__(self) -> bool:
+        raise NotImplementedError
+
+
+class KeyedBoards(FreeBoards):
+    """Free boards as a heap of ``(rank, running, board, i)``: a
+    policy's per-board rank first, then load, then index, so the first
+    board in the policy's order is on top."""
+
+    __slots__ = ("_boards", "_heap")
+
+    def __init__(self, boards: StepBoards, rank: Iterable[float]) -> None:
+        self._boards = boards
+        self._heap = list(zip(rank, boards.running, boards.board,
+                              range(len(boards.board))))
+        heapq.heapify(self._heap)
+
+    def __bool__(self) -> bool:
+        return bool(self._heap)
+
+    def take_first(self) -> BoardView:
+        """Place a job on the first board; return its view as offered.
+
+        The board goes back on the heap at ``running + 1`` while it
+        still has a free slot.
+        """
+        heap = self._heap
+        rank, running, board, i = heap[0]
+        view = self._boards.view(i, running)
+        if view.free_slots == 1:
+            heapq.heappop(heap)
+        else:
+            heapq.heapreplace(heap, (rank, running + 1, board, i))
+        return view
+
+
+class BoardRing(FreeBoards):
+    """Free boards in board order, for a rotating cursor."""
+
+    __slots__ = ("_boards", "_order", "_index", "_running")
+
+    def __init__(self, boards: StepBoards) -> None:
+        self._boards = boards
+        self._order = list(boards.board)
+        self._index = list(range(len(self._order)))
+        self._running = list(boards.running)
+
+    def __bool__(self) -> bool:
+        return bool(self._order)
+
+    def take_from(self, cursor: int) -> BoardView:
+        """Place a job on the first board at or after ``cursor``,
+        wrapping; return its view as offered.
+
+        The cursor wraps modulo the highest *free* board + 1, so with
+        the top boards full a cursor past them lands mid-array rather
+        than on board 0.
+        """
+        order = self._order
+        pos = bisect_left(order, cursor % (order[-1] + 1))
+        i = self._index[pos]
+        view = self._boards.view(i, self._running[i])
+        if view.free_slots == 1:
+            del order[pos]
+            del self._index[pos]
+        else:
+            self._running[i] += 1
+        return view
+
+
 class PlacementPolicy:
     """Base class: pick a board for the next queued job."""
 
     #: registry key; subclasses set it.
     name = "abstract"
 
-    def select(self, views: Collection[BoardView]) -> BoardView:
-        """Choose among boards with free slots (``views`` non-empty).
+    def free_boards(self, boards: StepBoards) -> FreeBoards:
+        """File one step's free boards in this policy's order."""
+        raise NotImplementedError
 
-        The simulator guarantees every view has ``free_slots > 0`` and
-        that ``views`` is ordered by board index.
+    def select(self, free: FreeBoards) -> BoardView:
+        """Choose a board from ``free`` (non-empty) and place one job.
+
+        Returns the chosen board's view as it was before the job
+        landed; ``free`` then holds the board one job busier, or no
+        longer holds it when that filled its last slot.
         """
         raise NotImplementedError
 
@@ -109,20 +231,14 @@ class RoundRobinPolicy(PlacementPolicy):
     def reset(self) -> None:
         self._cursor = 0
 
-    def select(self, views: Collection[BoardView]) -> BoardView:
+    def free_boards(self, boards: StepBoards) -> BoardRing:
+        return BoardRing(boards)
+
+    def select(self, free: BoardRing) -> BoardView:
         # first free board at or after the cursor, wrapping
-        span = _cursor_span(views)
-        cursor = self._cursor
-        chosen = min(
-            views,
-            key=lambda v: ((v.board - cursor) % span, v.board))
+        chosen = free.take_from(self._cursor)
         self._cursor = chosen.board + 1
         return chosen
-
-
-def _cursor_span(views: Collection[BoardView]) -> int:
-    """Modulus for the round-robin rotation (total board count)."""
-    return max(v.board for v in views) + 1
 
 
 class LeastLoadedPolicy(PlacementPolicy):
@@ -130,8 +246,12 @@ class LeastLoadedPolicy(PlacementPolicy):
 
     name = "least-loaded"
 
-    def select(self, views: Collection[BoardView]) -> BoardView:
-        return min(views, key=lambda v: (v.running, v.board))
+    def free_boards(self, boards: StepBoards) -> KeyedBoards:
+        # every board ranks alike, so load then index decide
+        return KeyedBoards(boards, repeat(0))
+
+    def select(self, free: KeyedBoards) -> BoardView:
+        return free.take_first()
 
 
 class ThermalAwarePolicy(PlacementPolicy):
@@ -144,9 +264,11 @@ class ThermalAwarePolicy(PlacementPolicy):
 
     name = "thermal-aware"
 
-    def select(self, views: Collection[BoardView]) -> BoardView:
-        return min(views,
-                   key=lambda v: (-v.headroom_c, v.running, v.board))
+    def free_boards(self, boards: StepBoards) -> KeyedBoards:
+        return KeyedBoards(boards, [-h for h in boards.headroom_c])
+
+    def select(self, free: KeyedBoards) -> BoardView:
+        return free.take_first()
 
 
 _POLICIES: dict[str, Callable[[], PlacementPolicy]] = {

@@ -33,6 +33,35 @@ instead exploits two structural facts:
    (``tests/test_fleet.py::TestBoardLadder`` pins the identity
    against a full model solve at a shifted ambient.)
 
+The step loop
+-------------
+
+Every scenario's events come out of one merged stream
+(:func:`~repro.fleet.events.event_stream`): the time-ordered arrivals,
+the fault timeline sorted once, and one step event per step boundary,
+in the ``(time_us, kind rank, sequence)`` order. Each step then works
+on the whole fleet at once:
+
+* **Board state is arrays.** Per board, a row of slots holds each
+  running job's remaining Gcycles and job id, occupied slots first in
+  placement order; beside it sit a running count and a down mask.
+  Progress and completions are one ``np.minimum``, a subtract and a
+  ``<= 0.0`` test over every slot. ``work_done`` keeps the per-slot
+  summation order of a board-then-slot loop (a sequential cumsum, not
+  a pairwise sum), and completions are logged in row-major order, so
+  the bits and lines are those of that loop.
+* **Placement is key-ordered.** The boards with a free slot (one mask,
+  then ``flatnonzero``) are filed once per step in the policy's order;
+  each queued job is then one O(log V) pick
+  (:mod:`repro.fleet.policies`).
+* **The log is fed per step.** Each line is one
+  :func:`~repro.fleet.events.canonical_event_line` call; the digest,
+  the streamed file and the kept log take the step's lines together,
+  the same bytes as line by line.
+
+The per-tank work (DTM lookup, energy balance) stays a loop over the
+tanks, a few dozen at most.
+
 Coolant loop and the energy ledger
 ----------------------------------
 
@@ -77,16 +106,18 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Any, IO, Sequence
 
+import numpy as np
+
 from ..cooling.accounting import EnergyAccount
 from ..errors import ConfigurationError
 from ..obs import counter, gauge, histogram, log_event, span
 from ..parallel import ParallelConfig, run_chunked
 from ..power.processors import get_chip
 from ..thermal.hotspot import model_for
-from .events import Event, EventQueue, canonical_event_line
+from .events import canonical_event_line, event_stream
 from .faults import FleetFaultPlan, generate_fault_timeline
 from .model import FleetConfig, FleetScenario
-from .policies import BoardView, get_policy
+from .policies import StepBoards, get_policy
 from .workload import FleetJob, generate_arrivals
 
 __all__ = [
@@ -174,16 +205,6 @@ def build_board_ladder(config: FleetConfig) -> BoardLadder:
         ref_ambient_c=ambient,
         ref_max_temp_c=tuple(float(t) for t in ref_temps),
     )
-
-
-class _RunningJob:
-    """Mutable in-flight job (board-resident)."""
-
-    __slots__ = ("job_id", "remaining_gcycles")
-
-    def __init__(self, job_id: int, work_gcycles: float) -> None:
-        self.job_id = job_id
-        self.remaining_gcycles = work_gcycles
 
 
 @dataclass(frozen=True)
@@ -369,13 +390,6 @@ def _simulate_inner(scenario: FleetScenario,
     arrivals = generate_arrivals(scenario.workload, scenario.seed,
                                  n_steps * dt)
 
-    queue = EventQueue()
-    for job in arrivals:
-        queue.push(Event(job.time_us, "arrival", job))
-    for k in range(n_steps):
-        queue.push(Event(k * step_us, "step", k))
-    queue.push(Event(n_steps * step_us, "stop"))
-
     n_tanks, bpt = cfg.n_tanks, cfg.boards_per_tank
     n_boards = cfg.n_boards
     slots = cfg.slots_per_board
@@ -389,10 +403,7 @@ def _simulate_inner(scenario: FleetScenario,
     with span("fleet.faults.timeline", boards=n_boards, tanks=n_tanks):
         timeline = generate_fault_timeline(plan, cfg, scenario.seed,
                                            n_steps * dt)
-    for fe in timeline:
-        queue.push(Event(fe.time_us, fe.action, fe))
     trip_water_c = cfg.effective_threshold_c() - plan.isolation_margin_c
-    board_down = [False] * n_boards
     dead_in_tank = [0] * n_tanks
     pump_ok = [True] * n_tanks
     fouled = [False] * n_tanks
@@ -407,8 +418,17 @@ def _simulate_inner(scenario: FleetScenario,
 
     water = [supply] * n_tanks           # step-start tank temps
     peak_water = [supply] * n_tanks
-    boards: list[list[_RunningJob]] = [[] for _ in range(n_boards)]
-    active_boards: set[int] = set()      # boards with >= 1 job
+    # board state: one row of slots per board, the ``running[b]``
+    # occupied slots first, in placement order
+    remaining = np.zeros((n_boards, slots))
+    job_ids = np.zeros((n_boards, slots), dtype=np.int64)
+    running = np.zeros(n_boards, dtype=np.int64)
+    board_down = np.zeros(n_boards, dtype=bool)
+    slot_index = np.arange(slots)
+    # acc[0] carries ``work_done`` into the step's sequential sum over
+    # ``used``, each slot's Gcycles retired this step
+    acc = np.empty(n_boards * slots + 1)
+    used = acc[1:].reshape(n_boards, slots)
     pending: deque[FleetJob] = deque()
 
     def _requeue_board(b: int, t_us: int) -> int:
@@ -418,16 +438,14 @@ def _simulate_inner(scenario: FleetScenario,
         job-id order ahead of waiting arrivals, so the next step's
         policy pass re-places them — deterministically.
         """
-        jobs_here = boards[b]
-        if not jobs_here:
+        n = int(running[b])
+        if not n:
             return 0
-        for rj in sorted(jobs_here, key=lambda r: r.job_id,
-                         reverse=True):
-            pending.appendleft(FleetJob(job_id=rj.job_id, time_us=t_us,
-                                        work_gcycles=rj.remaining_gcycles))
-        n = len(jobs_here)
-        jobs_here.clear()
-        active_boards.discard(b)
+        on_board = zip(job_ids[b, :n].tolist(), remaining[b, :n].tolist())
+        for job_id, work in sorted(on_board, reverse=True):
+            pending.appendleft(FleetJob(job_id=job_id, time_us=t_us,
+                                        work_gcycles=work))
+        running[b] = 0
         return n
 
     def _open_incident(kind: str, scope: str, index: int, t_us: int,
@@ -444,17 +462,22 @@ def _simulate_inner(scenario: FleetScenario,
         if inc is not None:
             inc["t_end_us"] = t_us
 
+    # event-log lines collect per step; the digest, the stream and the
+    # kept log take them a step at a time (the same bytes as per line)
     digest = hashlib.sha256()
     kept: list[str] | None = [] if keep_events else None
+    lines: list[str] = []
+    emit = lines.append
 
-    def emit(record: dict[str, Any]) -> None:
-        line = canonical_event_line(record)
-        digest.update(line.encode())
-        digest.update(b"\n")
-        if events_file is not None:
-            events_file.write(line + "\n")
-        if kept is not None:
-            kept.append(line)
+    def flush() -> None:
+        if lines:
+            chunk = "\n".join(lines) + "\n"
+            digest.update(chunk.encode())
+            if events_file is not None:
+                events_file.write(chunk)
+            if kept is not None:
+                kept.extend(lines)
+            lines.clear()
 
     generated_j = removed_j = 0.0
     work_done = 0.0
@@ -462,20 +485,20 @@ def _simulate_inner(scenario: FleetScenario,
     throttled_steps = stalled_steps = 0
     top_step = len(ladder.freqs_ghz) - 1
 
-    for event in queue.drain():
-        if event.kind == "arrival":
-            job: FleetJob = event.payload
-            pending.append(job)
-            emit({"t_us": event.time_us, "ev": "arrival",
-                  "job": job.job_id, "work": job.work_gcycles})
+    for t_us, kind, payload in event_stream(arrivals, timeline, step_us,
+                                            n_steps):
+        if kind == "arrival":
+            pending.append(payload)
+            emit(canonical_event_line({
+                "t_us": t_us, "ev": "arrival", "job": payload.job_id,
+                "work": payload.work_gcycles}))
             continue
-        if event.kind == "stop":
+        if kind == "stop":
             break
-        t_us = event.time_us
-        if event.kind in ("fault", "repair"):
+        if kind in ("fault", "repair"):
             # a fault sets its resource's state, the repair clears it
-            fe = event.payload
-            on = event.kind == "fault"
+            fe = payload
+            on = kind == "fault"
             i = fe.index
             n_req = 0
             if fe.scope == "board":      # board_retire / chip_death
@@ -492,7 +515,7 @@ def _simulate_inner(scenario: FleetScenario,
                 sensor_stuck[i] = water[i] if on else None
             else:                        # sensor_offset
                 sensor_delta[i] = plan.sensor_offset_c if on else 0.0
-            record = {"t_us": t_us, "ev": event.kind, "kind": fe.kind,
+            record = {"t_us": t_us, "ev": kind, "kind": fe.kind,
                       "scope": fe.scope, "idx": i}
             if on:
                 record["requeued"] = n_req
@@ -500,12 +523,13 @@ def _simulate_inner(scenario: FleetScenario,
                 _open_incident(fe.kind, fe.scope, i, t_us, n_req)
             else:
                 _close_incident(fe.kind, fe.scope, i, t_us)
-            emit(record)
+            emit(canonical_event_line(record))
             if not on and fe.kind == "pump_loss" and isolated[i]:
                 # circulation is back: reopen the tank to the loop
                 isolated[i] = False
                 _close_incident("tank_isolated", "tank", i, t_us)
-                emit({"t_us": t_us, "ev": "deisolate", "tank": i})
+                emit(canonical_event_line(
+                    {"t_us": t_us, "ev": "deisolate", "tank": i}))
             continue
 
         # --- per-tank DTM response from step-start water temps -------
@@ -530,8 +554,8 @@ def _simulate_inner(scenario: FleetScenario,
                     n_req += _requeue_board(b, t_us)
                 jobs_requeued += n_req
                 _open_incident("tank_isolated", "tank", i, t_us, n_req)
-                emit({"t_us": t_us, "ev": "isolate", "tank": i,
-                      "requeued": n_req})
+                emit(canonical_event_line({"t_us": t_us, "ev": "isolate",
+                                           "tank": i, "requeued": n_req}))
             if isolated[i]:
                 f_idx[i] = None
                 headroom[i] = ladder.stall_water_c - water[i]
@@ -555,66 +579,70 @@ def _simulate_inner(scenario: FleetScenario,
             f_idx[i] = idx
             headroom[i] = ladder.stall_water_c - reading
 
+        # each tank's clock this step (0.0 where the DTM stalls it)
+        f_ghz = np.array([ladder.freqs_ghz[idx] if idx is not None
+                          else 0.0 for idx in f_idx])
+
         # --- dispatch pending jobs through the policy -----------------
+        # the views: every up board with a free slot, in board order,
+        # filed once in the policy's order; each job is one pick
         if pending:
-            # board -> view of every up board with a free slot; dict
-            # insertion order keeps the views in board order
-            views: dict[int, BoardView] = {}
+            open_ = (running < slots) & ~board_down
             for tank in range(n_tanks):
-                if isolated[tank]:
-                    continue     # powered-off tanks take no work
-                idx = f_idx[tank]
-                f_ghz = ladder.freqs_ghz[idx] if idx is not None else 0.0
-                for b in range(tank * bpt, (tank + 1) * bpt):
-                    running = len(boards[b])
-                    if running < slots and not board_down[b]:
-                        views[b] = BoardView(
-                            board=b, tank=tank, running=running,
-                            free_slots=slots - running, f_ghz=f_ghz,
-                            headroom_c=headroom[tank])
-            while pending and views:
-                choice = policy.select(views.values())
-                job = pending.popleft()
-                b = choice.board
-                boards[b].append(
-                    _RunningJob(job.job_id, job.work_gcycles))
-                active_boards.add(b)
-                dispatched += 1
-                emit({"t_us": t_us, "ev": "dispatch",
-                      "job": job.job_id, "tank": choice.tank,
-                      "board": b})
-                if choice.free_slots == 1:
-                    del views[b]         # board is now full
-                else:
-                    views[b] = choice._replace(
-                        running=choice.running + 1,
-                        free_slots=choice.free_slots - 1)
+                if isolated[tank]:       # powered-off tanks take no work
+                    open_[tank * bpt:(tank + 1) * bpt] = False
+            free_b = np.flatnonzero(open_)
+            if free_b.size:
+                tank_b = free_b // bpt
+                run_b = running[free_b]
+                free = policy.free_boards(StepBoards(
+                    free_b.tolist(), tank_b.tolist(), run_b.tolist(),
+                    (slots - run_b).tolist(), f_ghz[tank_b].tolist(),
+                    np.array(headroom)[tank_b].tolist()))
+                while pending and free:
+                    choice = policy.select(free)
+                    job = pending.popleft()
+                    b, slot = choice.board, choice.running
+                    job_ids[b, slot] = job.job_id
+                    remaining[b, slot] = job.work_gcycles
+                    running[b] = slot + 1
+                    dispatched += 1
+                    emit(canonical_event_line({
+                        "t_us": t_us, "ev": "dispatch", "job": job.job_id,
+                        "tank": choice.tank, "board": b}))
 
         # --- progress, power, completions -----------------------------
-        busy_per_tank = [0] * n_tanks
+        # A stalled tank's boards progress 0.0, which leaves their jobs
+        # exactly as they were. ``work_done`` adds each slot's share in
+        # board-then-slot order: ``acc`` holds the running total then
+        # every slot's share (0.0 for an empty slot, which leaves the
+        # total unchanged), and cumsum adds them one after another
+        # (np.sum would pair terms and move the bits).
+        busy_per_tank = running.reshape(n_tanks, bpt).sum(axis=1).tolist()
         end_us = t_us + step_us
-        for b in sorted(active_boards):
-            tank = b // bpt
-            idx = f_idx[tank]
-            jobs_here = boards[b]
-            busy_per_tank[tank] += len(jobs_here)
-            if idx is None:
-                continue            # DTM stall: no progress, idle burn
-            progress = ladder.freqs_ghz[idx] * dt
-            finished: list[_RunningJob] = []
-            for rj in jobs_here:
-                used = min(progress, rj.remaining_gcycles)
-                work_done += used
-                rj.remaining_gcycles -= used
-                if rj.remaining_gcycles <= 0.0:
-                    finished.append(rj)
-            for rj in finished:
-                jobs_here.remove(rj)
-                completed += 1
-                emit({"t_us": end_us, "ev": "complete",
-                      "job": rj.job_id})
-            if not jobs_here:
-                active_boards.discard(b)
+        progress = np.repeat(f_ghz * dt, bpt)
+        occupied = slot_index < running[:, None]
+        used.fill(0.0)
+        np.minimum(progress[:, None], remaining, out=used, where=occupied)
+        acc[0] = work_done
+        work_done = float(np.cumsum(acc)[-1])
+        remaining -= used
+        finished = remaining <= 0.0
+        finished &= occupied
+        if finished.any():
+            rows, cols = np.nonzero(finished)
+            for job_id in job_ids[rows, cols].tolist():
+                emit(canonical_event_line(
+                    {"t_us": end_us, "ev": "complete", "job": job_id}))
+            completed += len(rows)
+            running -= np.bincount(rows, minlength=n_boards)
+            if slots > 1:
+                # close the gaps: a stable sort moves each touched
+                # row's unfinished jobs to its front, in placement order
+                rows = np.unique(rows)
+                order = np.argsort(finished[rows], axis=1, kind="stable")
+                remaining[rows] = remaining[rows[:, None], order]
+                job_ids[rows] = job_ids[rows[:, None], order]
 
         # --- tank energy balance (explicit Euler, step-start temps) ---
         # Faults enter as plain coefficient changes on the same update:
@@ -668,6 +696,8 @@ def _simulate_inner(scenario: FleetScenario,
                          + (prev[i] - ladder.ref_ambient_c))
                 if die_t > peak_board_temp:
                     peak_board_temp = die_t
+        flush()
+    flush()
 
     stored_j = sum(heat_cap * (water[i] - supply)
                    for i in range(n_tanks))
@@ -679,7 +709,8 @@ def _simulate_inner(scenario: FleetScenario,
         other_energy_j=cfg.non_cooling_overhead_fraction * it_energy,
         reused_energy_j=cfg.reuse_fraction * max(0.0, removed_j),
     )
-    completed_work = _completed_work(arrivals, boards, pending,
+    on_boards = job_ids[slot_index < running[:, None]].tolist()
+    completed_work = _completed_work(arrivals, on_boards, pending,
                                      completed)
 
     # only the report depends on whether the scenario carries a plan
@@ -719,7 +750,7 @@ def _simulate_inner(scenario: FleetScenario,
         jobs_dispatched=dispatched,
         jobs_completed=completed,
         jobs_pending_end=len(pending),
-        jobs_running_end=sum(len(js) for js in boards),
+        jobs_running_end=len(on_boards),
         work_done_gcycles=work_done,
         completed_work_gcycles=completed_work,
         account=account,
@@ -739,13 +770,13 @@ def _simulate_inner(scenario: FleetScenario,
 
 
 def _completed_work(arrivals: Sequence[FleetJob],
-                    boards: Sequence[Sequence[_RunningJob]],
+                    on_boards: Sequence[int],
                     pending: Sequence[FleetJob],
                     completed: int) -> float:
     """Gcycles of fully finished jobs (vs. partial ``work_done``)."""
     if not completed:
         return 0.0
-    unfinished = {rj.job_id for js in boards for rj in js}
+    unfinished = set(on_boards)
     unfinished.update(j.job_id for j in pending)
     return sum(j.work_gcycles for j in arrivals
                if j.job_id not in unfinished)

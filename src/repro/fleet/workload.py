@@ -19,6 +19,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 
+from ..config import require_finite
 from ..errors import ConfigurationError
 from ..parallel import derive_seed
 
@@ -72,6 +73,7 @@ class WorkloadConfig:
     trace: tuple[tuple[float, float], ...] = ()
 
     def __post_init__(self) -> None:
+        require_finite(self, "workload")
         if self.kind not in _KINDS:
             raise ConfigurationError(
                 f"workload kind must be one of {_KINDS}, got "

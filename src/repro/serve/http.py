@@ -207,7 +207,8 @@ class _Handler(BaseHTTPRequestHandler):
         except OverloadedError as exc:
             self._send(429, exc.to_dict())
         except (ConfigurationError, json.JSONDecodeError,
-                TypeError, ValueError) as exc:
+                TypeError, ValueError, OverflowError) as exc:
+            # OverflowError: int() of a JSON Infinity
             self._send(400, {"error": "bad_request", "message": str(exc)})
         except ServeError as exc:
             self._send(503, {"error": "shutting_down",

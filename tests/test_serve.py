@@ -571,6 +571,16 @@ class TestHTTP:
         with pytest.raises(ServeError, match="typo_key"):
             client.submit({"chip": "low-power-cmp", "typo_key": 1})
 
+    def test_non_finite_numbers_are_a_400(self, http_serve):
+        _, _, client = http_serve
+        with pytest.raises(ServeError,
+                           match="'rate_per_s' must be finite"):
+            client.submit({"kind": "fleet",
+                           "workload": {"rate_per_s": float("inf")}})
+        with pytest.raises(ServeError, match="infinity"):
+            client.submit({"chip": "low-power-cmp"},
+                          priority=float("inf"))
+
     def test_unknown_job_is_a_404(self, http_serve):
         _, _, client = http_serve
         doc = client.result("j000000-missing")
