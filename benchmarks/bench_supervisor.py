@@ -8,8 +8,9 @@ two numbers that trade-off turns on:
 * **overhead** — the same no-fault chunked map through the supervised
   pool (``ParallelConfig(supervised=True)``, the default everywhere)
   vs the retained bare ``ProcessPoolExecutor`` path
-  (``supervised=False``). The acceptance bar is < 5% supervision
-  overhead on a CPU-bound workload;
+  (``supervised=False``). Both run the same worker chunk body, so the
+  two differ only in supervision. The acceptance bar is < 5%
+  supervision overhead on a CPU-bound workload;
 * **recovery latency** — extra wall-clock a run pays when a worker is
   SIGKILLed once mid-chunk (``worker_kill`` with ``max_fires=1``): the
   supervisor must notice the death, restart the worker after backoff,

@@ -70,15 +70,25 @@ def fields_from_dict(cls, data: dict, what: str):
         kind, *rest = typing.get_args(hints[name]) or (hints[name],)
         if value is None and type(None) in rest:
             continue
-        if kind is float and type(value) is int:
-            value = float(value)
-        if not isinstance(value, kind) or (kind is int
-                                           and isinstance(value, bool)):
-            raise ConfigurationError(
-                f"{what} key {name!r} must be {kind.__name__}, got "
-                f"{value!r}")
-        kwargs[name] = value
+        kwargs[name] = typed_value(kind, value, name, what)
     return cls(**kwargs)
+
+
+def typed_value(kind: type, value, name: str, what: str):
+    """``value`` as the ``kind`` (int, float, str or bool) of key
+    ``name``: the per-key rule of :func:`fields_from_dict`.
+
+    An int widens to float; a bool is not an int; anything else of
+    the wrong type is a :class:`ConfigurationError` naming ``what`` and
+    the key.
+    """
+    if kind is float and type(value) is int:
+        value = float(value)
+    if not isinstance(value, kind) or (kind is int
+                                       and isinstance(value, bool)):
+        raise ConfigurationError(
+            f"{what} key {name!r} must be {kind.__name__}, got {value!r}")
+    return value
 
 
 @dataclass(frozen=True)

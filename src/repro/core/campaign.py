@@ -80,6 +80,43 @@ def _payload_digest(payload: dict) -> str:
     return hashlib.sha256(blob).hexdigest()
 
 
+def _read_checkpoint(path: Path) -> tuple[dict[str, PointRecord],
+                                          list[LedgerEntry], bool | None]:
+    """Strictly parse one checkpoint file: its records, its ledger, and
+    whether its embedded checksum matched (None for a pre-checksum
+    file). Raises :class:`~repro.errors.CheckpointError` when the file
+    is unreadable, structurally wrong, or fails its checksum."""
+    try:
+        data = json.loads(path.read_text())
+    except (OSError, json.JSONDecodeError) as exc:
+        raise CheckpointError(
+            f"cannot read checkpoint {path}: {exc}") from exc
+    if not isinstance(data, dict):
+        raise CheckpointError(f"checkpoint {path} is not a JSON object")
+    if data.get("version") != CHECKPOINT_VERSION:
+        raise CheckpointError(
+            f"checkpoint {path} has version {data.get('version')!r}, "
+            f"expected {CHECKPOINT_VERSION}")
+    checksum_ok: bool | None = None
+    stored = data.get("checksum")
+    if stored is not None:
+        checksum_ok = stored == _payload_digest(data)
+        if not checksum_ok:
+            raise CheckpointError(
+                f"checkpoint {path} failed its SHA-256 checksum — "
+                f"truncated or torn write")
+    try:
+        records = {k: PointRecord.from_dict(v)
+                   for k, v in data.get("points", {}).items()}
+        ledger = [LedgerEntry.from_dict(e)
+                  for e in data.get("ledger", [])]
+    except (TypeError, KeyError, ValueError, AttributeError) as exc:
+        raise CheckpointError(
+            f"checkpoint {path} has malformed records: "
+            f"{type(exc).__name__}: {exc}") from exc
+    return records, ledger, checksum_ok
+
+
 def verify_checkpoint(path: str | os.PathLike) -> dict:
     """Validate a checkpoint file's integrity without loading a campaign.
 
@@ -89,36 +126,8 @@ def verify_checkpoint(path: str | os.PathLike) -> dict:
     embedded checksum. Pre-checksum checkpoints (no ``checksum`` key)
     validate structurally with ``checksum_ok=None``.
     """
-    p = Path(path)
-    try:
-        data = json.loads(p.read_text())
-    except (OSError, json.JSONDecodeError) as exc:
-        raise CheckpointError(
-            f"cannot read checkpoint {p}: {exc}") from exc
-    if not isinstance(data, dict):
-        raise CheckpointError(f"checkpoint {p} is not a JSON object")
-    if data.get("version") != CHECKPOINT_VERSION:
-        raise CheckpointError(
-            f"checkpoint {p} has version {data.get('version')!r}, "
-            f"expected {CHECKPOINT_VERSION}")
-    checksum_ok: bool | None = None
-    stored = data.get("checksum")
-    if stored is not None:
-        checksum_ok = stored == _payload_digest(data)
-        if not checksum_ok:
-            raise CheckpointError(
-                f"checkpoint {p} failed its SHA-256 checksum — "
-                f"truncated or torn write")
-    try:
-        records = {k: PointRecord.from_dict(v)
-                   for k, v in data.get("points", {}).items()}
-        ledger = [LedgerEntry.from_dict(e)
-                  for e in data.get("ledger", [])]
-    except (TypeError, KeyError, ValueError, AttributeError) as exc:
-        raise CheckpointError(
-            f"checkpoint {p} has malformed records: "
-            f"{type(exc).__name__}: {exc}") from exc
-    return {"version": data["version"], "points": len(records),
+    records, ledger, checksum_ok = _read_checkpoint(Path(path))
+    return {"version": CHECKPOINT_VERSION, "points": len(records),
             "ledger_entries": len(ledger), "checksum_ok": checksum_ok}
 
 
@@ -650,38 +659,6 @@ class CampaignRunner:
 
     # -- checkpoint I/O -----------------------------------------------------
 
-    def _read_checkpoint(self, path: Path
-                         ) -> tuple[dict[str, PointRecord],
-                                    list[LedgerEntry]]:
-        """Strictly parse one checkpoint file (raises CheckpointError)."""
-        try:
-            data = json.loads(path.read_text())
-        except (OSError, json.JSONDecodeError) as exc:
-            raise CheckpointError(
-                f"cannot read checkpoint {path}: {exc}") from exc
-        if not isinstance(data, dict):
-            raise CheckpointError(
-                f"checkpoint {path} is not a JSON object")
-        if data.get("version") != CHECKPOINT_VERSION:
-            raise CheckpointError(
-                f"checkpoint {path} has version {data.get('version')!r}, "
-                f"expected {CHECKPOINT_VERSION}")
-        stored = data.get("checksum")
-        if stored is not None and stored != _payload_digest(data):
-            raise CheckpointError(
-                f"checkpoint {path} failed its SHA-256 checksum — "
-                f"truncated or torn write")
-        try:
-            records = {k: PointRecord.from_dict(v)
-                       for k, v in data.get("points", {}).items()}
-            ledger = [LedgerEntry.from_dict(e)
-                      for e in data.get("ledger", [])]
-        except (TypeError, KeyError, ValueError, AttributeError) as exc:
-            raise CheckpointError(
-                f"checkpoint {path} has malformed records: "
-                f"{type(exc).__name__}: {exc}") from exc
-        return records, ledger
-
     def _quarantine_file(self, path: Path) -> None:
         """Rotate an unreadable checkpoint aside as ``<name>.corrupt``."""
         corrupt = path.with_name(path.name + ".corrupt")
@@ -707,7 +684,7 @@ class CampaignRunner:
         if path is None or not path.exists():
             return {}, []
         try:
-            return self._read_checkpoint(path)
+            return _read_checkpoint(path)[:2]
         except CheckpointError as exc:
             log_event("checkpoint_unreadable", path=str(path),
                       error=str(exc), level=0)
@@ -715,7 +692,7 @@ class CampaignRunner:
         backup = path.with_name(path.name + ".bak")
         if backup.exists():
             try:
-                records, ledger = self._read_checkpoint(backup)
+                records, ledger, _ = _read_checkpoint(backup)
             except CheckpointError as exc:
                 log_event("checkpoint_backup_unreadable",
                           path=str(backup), error=str(exc), level=0)

@@ -96,18 +96,17 @@ class CheckpointError(ReproError):
 class PoolClosedError(ConfigurationError):
     """Work was submitted to a worker pool that is already closed.
 
-    Raised by :class:`repro.parallel.WorkerPool` and the supervised
-    pool underneath it. Remediation: create a fresh pool (the serve
-    broker does this transparently), or stop submitting after
-    ``close()`` / broker shutdown. The CLI maps this to exit code 75
-    (``EX_TEMPFAIL``) — the service is restartable, the request is not
-    wrong.
+    Raised by :class:`repro.parallel.SupervisedPool`. Remediation:
+    create a fresh pool (the serve broker does this transparently), or
+    stop submitting after ``close()`` / broker shutdown. The CLI maps
+    this to exit code 75 (``EX_TEMPFAIL``) — the service is
+    restartable, the request is not wrong.
     """
 
     def __init__(self, message: str = "worker pool is closed") -> None:
         super().__init__(
             f"{message} — submissions after close() are dropped by "
-            f"design; build a new WorkerPool (or let the serve broker "
+            f"design; build a new pool (or let the serve broker "
             f"rebuild one) and resubmit")
 
 

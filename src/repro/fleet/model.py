@@ -37,7 +37,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from typing import ClassVar
 
-from ..config import fields_from_dict, fields_to_dict, require_finite
+from ..config import (fields_from_dict, fields_to_dict,
+                      require_finite, typed_value)
 from ..cooling.options import cooling_names
 from ..errors import ConfigurationError
 from ..power.processors import chip_names, get_chip
@@ -282,22 +283,18 @@ class FleetScenario:
         faults = None
         if data.get("faults") is not None:
             faults = FleetFaultPlan.from_dict(data["faults"])
-        try:
-            seed = int(data.get("seed", 0))
-            duration_s = float(data.get("duration_s", 3600.0))
-        except (TypeError, ValueError, OverflowError) as exc:
-            # int(Infinity) overflows: still a bad request, not a crash
-            raise ConfigurationError(
-                f"fleet scenario seed/duration_s: {exc}") from None
+        scalars = {name: typed_value(kind, data[name], name,
+                                     "fleet scenario")
+                   for name, kind in (("policy", str), ("seed", int),
+                                      ("duration_s", float),
+                                      ("label", str))
+                   if name in data}
         return cls(
             fleet=FleetConfig.from_dict(data.get("fleet", {})),
             workload=WorkloadConfig.from_dict(
                 data.get("workload", {"kind": "rate"})),
-            policy=str(data.get("policy", "thermal-aware")),
-            seed=seed,
-            duration_s=duration_s,
-            label=str(data.get("label", "")),
             faults=faults,
+            **scalars,
         )
 
     def with_policy(self, policy: str) -> "FleetScenario":

@@ -4,24 +4,24 @@ The paper's figures are grids of *independent* operating points; this
 package supplies the execution substrate that evaluates them in
 parallel without giving up the guarantees the rest of the system makes:
 
-* :mod:`repro.parallel.pool` — a chunked :class:`~concurrent.futures.
-  ProcessPoolExecutor` engine with deterministic result ordering,
-  per-chunk completion hooks (checkpoint granularity), and worker
-  metrics repatriated into the parent registry;
+* :mod:`repro.parallel.pool` — the chunked engine
+  (:func:`run_chunked`) with deterministic result ordering, per-chunk
+  completion hooks (checkpoint granularity), worker metrics and spans
+  repatriated into the parent, and :class:`ParallelConfig`, the one
+  pool configuration;
 * :mod:`repro.parallel.blas` — reads and sets the thread count of
   every loaded OpenBLAS; the engine runs every chunk at one thread
   per process;
 * :mod:`repro.parallel.seeds` — SHA-256 seed derivation so every
   point's RNG stream depends only on (campaign seed, point key), never
   on which worker ran it or in what order;
-* :mod:`repro.parallel.supervisor` — the supervision tree underneath
-  both: heartbeat-monitored workers, crash/hang detection, restart
-  with capped exponential backoff, and poison-task quarantine, so one
-  segfaulted worker no longer aborts a months-long campaign;
-* :mod:`repro.parallel.service` — a persistent, item-at-a-time
-  :class:`WorkerPool` over the same worker machinery, for callers
-  (the :mod:`repro.serve` broker) whose work arrives as requests
-  rather than grids.
+* :mod:`repro.parallel.supervisor` — :class:`SupervisedPool`, the
+  one pool: heartbeat-monitored workers, crash/hang detection,
+  restart with capped exponential backoff, and poison-task
+  quarantine, so one segfaulted worker no longer aborts a months-long
+  campaign. :func:`run_chunked` runs grids on it, and the
+  :mod:`repro.serve` broker keeps one warm and submits each request
+  as a one-item chunk.
 
 The invariant the test suite pins: a campaign run at ``--workers 1``,
 ``2``, and ``4`` produces the identical :class:`~repro.core.campaign.
@@ -40,15 +40,12 @@ from .pool import (
     snapshot_delta,
 )
 from .seeds import derive_seed
-from .service import WorkerPool
-from .supervisor import Poisoned, SupervisedPool, SupervisorConfig
+from .supervisor import Poisoned, SupervisedPool
 
 __all__ = [
     "ParallelConfig",
     "Poisoned",
     "SupervisedPool",
-    "SupervisorConfig",
-    "WorkerPool",
     "blas_threads",
     "chunk_indices",
     "derive_seed",

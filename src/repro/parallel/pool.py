@@ -61,16 +61,17 @@ __all__ = [
 
 @dataclass(frozen=True)
 class ParallelConfig:
-    """How a parallel run schedules its work.
+    """How a parallel run schedules and supervises its work.
+
+    The one pool configuration: :func:`run_chunked` reads every field,
+    and :class:`~repro.parallel.supervisor.SupervisedPool` reads the
+    worker count and the supervision fields.
 
     Attributes:
         workers: process count; 1 = inline (no pool).
         chunk_size: items per scheduled chunk (None = auto: enough
             chunks for ~4 rounds per worker, capped at 8 items so
             checkpoints stay reasonably fresh).
-        start_method: multiprocessing start method (None = ``fork``
-            where available — cheap and inherits imports — else the
-            platform default).
         supervised: run multi-worker chunks under the supervision
             tree (:mod:`repro.parallel.supervisor`) — crash/hang
             detection, restart, quarantine. ``False`` keeps the bare
@@ -89,7 +90,6 @@ class ParallelConfig:
 
     workers: int = 1
     chunk_size: int | None = None
-    start_method: str | None = None
     supervised: bool = True
     heartbeat_interval_s: float = 0.2
     heartbeat_timeout_s: float | None = 30.0
@@ -101,18 +101,16 @@ class ParallelConfig:
             raise ConfigurationError("workers must be >= 1")
         if self.chunk_size is not None and self.chunk_size < 1:
             raise ConfigurationError("chunk_size must be >= 1 or None")
-
-    def supervisor_config(self):
-        """The :class:`~repro.parallel.supervisor.SupervisorConfig`
-        equivalent of this config's supervision fields."""
-        from .supervisor import SupervisorConfig
-        return SupervisorConfig(
-            workers=self.workers,
-            start_method=self.start_method,
-            heartbeat_interval_s=self.heartbeat_interval_s,
-            heartbeat_timeout_s=self.heartbeat_timeout_s,
-            task_timeout_s=self.task_timeout_s,
-            max_task_crashes=self.max_task_crashes)
+        if self.heartbeat_interval_s <= 0:
+            raise ConfigurationError("heartbeat_interval_s must be > 0")
+        if (self.heartbeat_timeout_s is not None
+                and self.heartbeat_timeout_s <= self.heartbeat_interval_s):
+            raise ConfigurationError(
+                "heartbeat_timeout_s must exceed heartbeat_interval_s")
+        if self.task_timeout_s is not None and self.task_timeout_s <= 0:
+            raise ConfigurationError("task_timeout_s must be > 0 or None")
+        if self.max_task_crashes < 1:
+            raise ConfigurationError("max_task_crashes must be >= 1")
 
     def resolve_chunk_size(self, n_items: int) -> int:
         """The chunk size actually used for ``n_items`` items."""
@@ -124,13 +122,13 @@ class ParallelConfig:
         return max(1, min(8, per_round))
 
     def context(self) -> multiprocessing.context.BaseContext:
-        """The multiprocessing context for the pool."""
-        if self.start_method is not None:
-            return multiprocessing.get_context(self.start_method)
-        methods = multiprocessing.get_all_start_methods()
-        if "fork" in methods:
+        """The multiprocessing context for the pool: ``fork`` where
+        available (cheap, and inherits imports), else the platform
+        default."""
+        try:
             return multiprocessing.get_context("fork")
-        return multiprocessing.get_context()
+        except ValueError:               # no fork on this platform
+            return multiprocessing.get_context()
 
 
 def chunk_indices(n_items: int, chunk_size: int) -> list[range]:
@@ -211,29 +209,51 @@ def _one_blas_thread() -> dict[str, int]:
 
 
 def _run_chunk(chunk: list[tuple[int, Any]],
-               trace_ctx: dict[str, Any] | None = None
+               trace_ctx: dict[str, Any] | None, key: str,
+               attempt: int = 0
                ) -> tuple[list[tuple[int, Any]], dict[str, Any], float,
                           list[dict[str, Any]]]:
-    """Evaluate one chunk in a worker; returns results + metrics delta
-    (+ finished span dicts when a trace context was shipped)."""
+    """Evaluate one chunk in a worker: the chunk body of both pools.
+
+    Returns the ``(index, result)`` pairs, the worker's metrics delta,
+    the wall time, and the finished span dicts (empty unless a trace
+    context was shipped). With a context, the worker tracer is enabled
+    for the chunk and its ``supervisor.chunk`` span is remote-parented
+    to the submitting span. A task exception propagates after the
+    chunk's spans are dropped.
+    """
     assert _WORKER_FN is not None, "worker not initialized"
     registry = get_registry()
     tracer = get_tracer()
+    tracer.enabled = trace_ctx is not None
     if trace_ctx is not None:
-        tracer.enabled = True
         tracer.set_remote_parent(trace_ctx.get("parent_id"))
     before = registry.snapshot()
     t0 = time.perf_counter()
-    results = []
-    with tracer.span("supervisor.chunk", items=len(chunk)):
-        for idx, item in chunk:
-            with tracer.span("worker.point", index=idx):
-                results.append((idx, _WORKER_FN(_WORKER_PAYLOAD, item)))
-    wall = time.perf_counter() - t0
-    spans = tracer.drain_span_dicts() if trace_ctx is not None else []
-    if trace_ctx is not None:
+    try:
+        results = []
+        with tracer.span("supervisor.chunk", key=key, items=len(chunk),
+                         attempt=attempt):
+            for idx, item in chunk:
+                with tracer.span("worker.point", index=idx):
+                    results.append((idx, _WORKER_FN(_WORKER_PAYLOAD, item)))
+        wall = time.perf_counter() - t0
+        spans = tracer.drain_span_dicts() if trace_ctx is not None else []
+    except BaseException:
+        tracer.drain_span_dicts()         # drop the failed chunk's spans
+        raise
+    finally:
         tracer.set_remote_parent(None)
     return results, snapshot_delta(before, registry.snapshot()), wall, spans
+
+
+def _adopt_chunk(delta: dict[str, Any], spans: list[dict[str, Any]]) -> None:
+    """Fold a finished chunk's worker metrics delta and spans into this
+    process's registry and tracer."""
+    get_registry().merge_snapshot(delta)
+    if spans:
+        get_tracer().adopt_spans(spans)
+        counter("trace.spans_repatriated").inc(len(spans))
 
 
 # -- parent side -------------------------------------------------------------
@@ -325,8 +345,7 @@ def _run_supervised(chunks, fn, payload, cfg: ParallelConfig,
                     fault_plan) -> None:
     from .supervisor import Poisoned, SupervisedPool
     from ..errors import WorkerCrashError
-    with SupervisedPool(fn, payload, cfg.supervisor_config(),
-                        fault_plan=fault_plan) as pool:
+    with SupervisedPool(fn, payload, cfg, fault_plan=fault_plan) as pool:
         futures = {pool.submit(chunk, key=_chunk_key(chunk)): chunk
                    for chunk in chunks}
         for fut, chunk in futures.items():
@@ -348,15 +367,13 @@ def _run_supervised(chunks, fn, payload, cfg: ParallelConfig,
 def _run_pool(chunks, fn, payload, cfg: ParallelConfig,
               results: dict[int, Any],
               on_chunk) -> None:
-    registry = get_registry()
-    tracer = get_tracer()
-    trace_ctx = tracer.propagation_context()
-    ctx = cfg.context()
+    trace_ctx = get_tracer().propagation_context()
     with ProcessPoolExecutor(max_workers=cfg.workers,
-                             mp_context=ctx,
+                             mp_context=cfg.context(),
                              initializer=_init_worker,
                              initargs=(fn, payload)) as pool:
-        pending = {pool.submit(_run_chunk, chunk, trace_ctx)
+        pending = {pool.submit(_run_chunk, chunk, trace_ctx,
+                               _chunk_key(chunk))
                    for chunk in chunks}
         while pending:
             finished, pending = wait(pending,
@@ -364,10 +381,7 @@ def _run_pool(chunks, fn, payload, cfg: ParallelConfig,
             for fut in finished:
                 done, metrics_delta, wall, spans = fut.result()
                 with span("parallel.chunk_merge", items=len(done)):
-                    registry.merge_snapshot(metrics_delta)
-                    if spans:
-                        tracer.adopt_spans(spans)
-                        counter("trace.spans_repatriated").inc(len(spans))
+                    _adopt_chunk(metrics_delta, spans)
                     _note_chunk(done, wall, inline=False)
                     results.update(done)
                     if on_chunk is not None:

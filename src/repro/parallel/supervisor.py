@@ -14,8 +14,9 @@ supervision tree in the datacenter tradition:
 * a **hang** is caught two ways — a heartbeat deadline (frozen or
   starved process) and an optional per-task wall-clock deadline (the
   task function itself wedged) — and the worker is killed;
-* dead workers are **restarted with capped exponential backoff**, and
-  the in-flight task is re-enqueued at the front of the queue;
+* dead workers are **restarted with capped exponential backoff**
+  (0.05 s, doubling per death of the slot, up to 2 s), and the
+  in-flight task is re-enqueued at the front of the queue;
 * a task that crashes its worker ``max_task_crashes`` times (default
   2) is **quarantined**: its future fails with a structured
   :class:`~repro.errors.WorkerCrashError` instead of being retried
@@ -49,73 +50,24 @@ from multiprocessing import connection
 from typing import Any, Callable
 
 from ..errors import ConfigurationError, PoolClosedError, WorkerCrashError
-from ..obs import counter, gauge, get_registry, get_tracer, log_event
+from ..obs import counter, gauge, get_tracer, log_event
+from .pool import ParallelConfig, _adopt_chunk, _init_worker, _run_chunk
 
-__all__ = ["Poisoned", "SupervisedPool", "SupervisorConfig"]
+__all__ = ["Poisoned", "SupervisedPool"]
 
 #: Supervisor loop tick when nothing else wakes it (deadline checks).
 _TICK_S = 0.05
 
+#: A worker slot's first restart delay; it doubles with each further
+#: death of the slot, up to the cap.
+_BACKOFF_FIRST_S = 0.05
+_BACKOFF_CAP_S = 2.0
 
-@dataclass(frozen=True)
-class SupervisorConfig:
-    """How the supervision tree watches and revives its workers.
 
-    Attributes:
-        workers: worker process count (>= 1).
-        start_method: multiprocessing start method (None = ``fork``
-            where available, matching :class:`~repro.parallel.pool.
-            ParallelConfig`).
-        heartbeat_interval_s: how often each worker beats.
-        heartbeat_timeout_s: a busy worker silent this long is
-            declared hung and killed (None = no heartbeat deadline).
-        task_timeout_s: wall-clock budget per task (chunk); a task in
-            flight longer than this gets its worker killed (None = no
-            per-task deadline). This is the campaign's only timeout
-            (``chunk_timeout_s``).
-        max_task_crashes: quarantine threshold — a task that has
-            crashed its worker this many times fails with
-            :class:`~repro.errors.WorkerCrashError` instead of being
-            re-enqueued.
-        restart_backoff_s: first restart delay for a worker slot.
-        restart_backoff_cap_s: exponential backoff ceiling.
-    """
-
-    workers: int = 2
-    start_method: str | None = None
-    heartbeat_interval_s: float = 0.2
-    heartbeat_timeout_s: float | None = 30.0
-    task_timeout_s: float | None = None
-    max_task_crashes: int = 2
-    restart_backoff_s: float = 0.05
-    restart_backoff_cap_s: float = 2.0
-
-    def __post_init__(self) -> None:
-        if self.workers < 1:
-            raise ConfigurationError("workers must be >= 1")
-        if self.heartbeat_interval_s <= 0:
-            raise ConfigurationError("heartbeat_interval_s must be > 0")
-        if (self.heartbeat_timeout_s is not None
-                and self.heartbeat_timeout_s <= self.heartbeat_interval_s):
-            raise ConfigurationError(
-                "heartbeat_timeout_s must exceed heartbeat_interval_s")
-        if self.task_timeout_s is not None and self.task_timeout_s <= 0:
-            raise ConfigurationError("task_timeout_s must be > 0 or None")
-        if self.max_task_crashes < 1:
-            raise ConfigurationError("max_task_crashes must be >= 1")
-        if self.restart_backoff_s <= 0 or self.restart_backoff_cap_s <= 0:
-            raise ConfigurationError("restart backoff must be > 0")
-
-    def context(self):
-        """The multiprocessing context for worker processes."""
-        from .pool import ParallelConfig
-        return ParallelConfig(workers=self.workers,
-                              start_method=self.start_method).context()
-
-    def backoff_s(self, restarts: int) -> float:
-        """Capped exponential restart delay after ``restarts`` deaths."""
-        return min(self.restart_backoff_cap_s,
-                   self.restart_backoff_s * (2 ** max(0, restarts - 1)))
+def restart_delay_s(restarts: int) -> float:
+    """Capped exponential restart delay after ``restarts`` deaths."""
+    return min(_BACKOFF_CAP_S,
+               _BACKOFF_FIRST_S * (2 ** max(0, restarts - 1)))
 
 
 @dataclass(frozen=True)
@@ -147,13 +99,10 @@ def _worker_main(conn, fn: Callable[[Any, Any], Any], payload: Any,
 
     ``trace_ctx`` is the submitting thread's
     :meth:`~repro.obs.Tracer.propagation_context` (None while tracing
-    is off). When present, the worker tracer is enabled for the task,
-    the chunk runs under a ``supervisor.chunk`` span remote-parented to
-    the shipped context (each item under a ``worker.point`` span), and
-    the finished span dicts ride back on the ``done`` message beside
-    the metrics delta.
+    is off); each chunk runs through the engine's one chunk body
+    (:func:`repro.parallel.pool._run_chunk`), whose metrics delta and
+    finished span dicts ride back on the ``done`` message.
     """
-    from .pool import _init_worker, snapshot_delta
     _init_worker(fn, payload)    # campaign/serve tasks share this env
     send_lock = threading.Lock()
     hb_muted_until = [0.0]
@@ -171,8 +120,6 @@ def _worker_main(conn, fn: Callable[[Any, Any], Any], payload: Any,
 
     threading.Thread(target=_beat, name="supervisor-heartbeat",
                      daemon=True).start()
-    registry = get_registry()
-    tracer = get_tracer()
     try:
         while True:
             try:
@@ -192,29 +139,12 @@ def _worker_main(conn, fn: Callable[[Any, Any], Any], payload: Any,
                 elif kind == "slow_heartbeat":
                     hb_muted_until[0] = (time.monotonic()
                                          + fault_plan.stall_s)
-            if trace_ctx is not None:
-                tracer.enabled = True
-                tracer.set_remote_parent(trace_ctx.get("parent_id"))
-            else:
-                tracer.enabled = False
-            before = registry.snapshot()
-            t0 = time.perf_counter()
             try:
-                results = []
-                with tracer.span("supervisor.chunk", key=key,
-                                 items=len(chunk), attempt=attempt):
-                    for idx, item in chunk:
-                        with tracer.span("worker.point", index=idx):
-                            results.append((idx, fn(payload, item)))
+                results, delta, wall, spans = _run_chunk(
+                    chunk, trace_ctx, key, attempt)
             except BaseException as exc:
-                tracer.drain_span_dicts()     # drop the failed task's spans
-                tracer.set_remote_parent(None)
                 _send_err(conn, send_lock, task_id, exc)
                 continue
-            wall = time.perf_counter() - t0
-            delta = snapshot_delta(before, registry.snapshot())
-            spans = tracer.drain_span_dicts() if trace_ctx is not None else []
-            tracer.set_remote_parent(None)
             try:
                 with send_lock:
                     conn.send(("done", task_id, results, delta, wall,
@@ -290,7 +220,10 @@ class SupervisedPool:
         fn: module-level (picklable) task function
             ``fn(payload, item) -> result``.
         payload: shared picklable context handed to every call.
-        config: supervision knobs.
+        config: worker count and supervision knobs (None =
+            ``ParallelConfig()``: one worker). ``chunk_size`` and
+            ``supervised`` do not apply: callers submit their own
+            chunks, and this pool is always supervised.
         fault_plan: optional process-level fault schedule, executed in
             the workers (chaos testing).
 
@@ -302,9 +235,9 @@ class SupervisedPool:
     """
 
     def __init__(self, fn: Callable[[Any, Any], Any], payload: Any,
-                 config: SupervisorConfig | None = None, *,
+                 config: ParallelConfig | None = None, *,
                  fault_plan=None) -> None:
-        self.config = config if config is not None else SupervisorConfig()
+        self.config = config if config is not None else ParallelConfig()
         self._fn = fn
         self._payload = payload
         self._fault_plan = fault_plan
@@ -421,7 +354,7 @@ class SupervisedPool:
         self._reap(slot)
         counter("supervisor.worker_crashes").inc()
         slot.restarts += 1
-        delay = self.config.backoff_s(slot.restarts)
+        delay = restart_delay_s(slot.restarts)
         slot.ready_at = time.monotonic() + delay
         log_event("supervisor_worker_death", slot=slot.index,
                   reason=reason, restarts=slot.restarts,
@@ -550,10 +483,7 @@ class SupervisedPool:
                         and slot.current.id == task_id:
                     slot.current = None
                 if task is not None:
-                    get_registry().merge_snapshot(delta)
-                    if spans:
-                        get_tracer().adopt_spans(spans)
-                        counter("trace.spans_repatriated").inc(len(spans))
+                    _adopt_chunk(delta, spans)
                     task.future.set_result((results, wall))
             elif msg[0] == "err":
                 _, task_id, exc = msg

@@ -17,7 +17,7 @@ byte relative to calling the underlying APIs directly.
   OverloadedError` sheds), request coalescing, graceful drain;
 * :mod:`repro.serve.runner` — evaluation wired through
   :mod:`repro.resilience` retry/degrade, inline or on a persistent
-  :class:`~repro.parallel.WorkerPool`;
+  :class:`~repro.parallel.SupervisedPool`;
 * :mod:`repro.serve.client` / :mod:`repro.serve.http` — in-process
   ``ServeClient`` and the stdlib-only JSON endpoint behind
   ``repro serve`` / ``repro submit``.

@@ -19,7 +19,7 @@ multi-tenant service. The contract, in submission order:
    :class:`~repro.errors.DeadlineExceededError` when it surfaces.
 5. **Evaluate** — dispatcher threads run jobs through the resilient
    runner (:mod:`repro.serve.runner`), inline or on a persistent
-   :class:`~repro.parallel.WorkerPool` of processes; worker faults
+   :class:`~repro.parallel.SupervisedPool` of processes; worker faults
    retry/degrade per :mod:`repro.resilience` and a failed job fails
    alone — the broker keeps serving.
 6. **Drain** — shutdown stops admissions, finishes queued and
@@ -41,7 +41,7 @@ from collections import OrderedDict
 from dataclasses import asdict, dataclass
 from typing import Any, Callable
 
-from ..config import ExperimentSpec
+from ..config import ExperimentSpec, require_finite
 from ..errors import (
     ConfigurationError,
     DeadlineExceededError,
@@ -90,7 +90,7 @@ class BrokerConfig:
         cache_capacity: result-cache entries.
         cache_ttl_s: result-cache time-to-live (None = no expiry).
         use_processes: evaluate on a persistent
-            :class:`~repro.parallel.WorkerPool` of ``workers``
+            :class:`~repro.parallel.SupervisedPool` of ``workers``
             processes instead of in the dispatcher threads. Same
             results either way; processes buy CPU parallelism at
             pickling cost.
@@ -110,6 +110,7 @@ class BrokerConfig:
     slo_window_s: float = 60.0
 
     def __post_init__(self) -> None:
+        require_finite(self, "broker config")
         if self.workers < 1:
             raise ConfigurationError("workers must be >= 1")
         if self.max_queue < 1:
@@ -170,15 +171,16 @@ class Broker:
 
     def _make_pool(self):
         """Build the persistent (supervised) evaluation pool."""
-        from ..parallel import WorkerPool
-        return WorkerPool(
+        from ..parallel import ParallelConfig, SupervisedPool
+        return SupervisedPool(
             pool_task,
             PoolPayload(retry_policy=self.resilience.retry_policy,
                         allow_degraded=self.resilience.allow_degraded),
-            workers=self.config.workers)
+            ParallelConfig(workers=self.config.workers))
 
     def _pool_submit(self, item):
-        """Submit to the pool, transparently rebuilding a dead one.
+        """Submit one item to the pool as the one-item chunk
+        ``[(0, item)]``, transparently rebuilding a dead pool.
 
         The supervised pool survives worker crashes on its own; the
         only way it refuses work is after ``close()`` (shutdown race,
@@ -186,9 +188,10 @@ class Broker:
         keeps the broker serving through that; a second refusal is a
         real shutdown and propagates.
         """
+        chunk = [(0, item)]
         with self._pool_lock:
             try:
-                return self._pool.submit(item)
+                return self._pool.submit(chunk)
             except PoolClosedError:
                 if self._closed:
                     raise
@@ -196,7 +199,7 @@ class Broker:
                 log_event("serve_pool_rebuilt",
                           workers=self.config.workers, level=0)
                 self._pool = self._make_pool()
-                return self._pool.submit(item)
+                return self._pool.submit(chunk)
 
     # -- submission ---------------------------------------------------------
 
@@ -348,8 +351,10 @@ class Broker:
                 with span("broker.dispatch", key=job.key,
                           pooled=self._pool is not None):
                     if self._pool is not None:
-                        outcome = self._pool_submit(
+                        done, wall = self._pool_submit(
                             job.request.spec.to_dict()).result()
+                        histogram("parallel.item_seconds").observe(wall)
+                        outcome = done[0][1]
                     elif self._runner is not None:
                         outcome = self._runner(job.request.spec)
                     elif _is_fleet(job.request.spec):

@@ -21,7 +21,7 @@ import threading
 from dataclasses import dataclass
 from typing import Any, Iterator
 
-from ..config import ExperimentSpec
+from ..config import ExperimentSpec, require_finite
 from ..errors import ConfigurationError
 from ..obs import canonical_config, config_hash
 
@@ -79,6 +79,7 @@ class ServeRequest:
     label: str = ""
 
     def __post_init__(self) -> None:
+        require_finite(self, "serve request")
         if self.deadline_s is not None and self.deadline_s < 0:
             raise ConfigurationError("deadline_s must be >= 0 or None")
         object.__setattr__(self, "key", spec_hash(self.spec))

@@ -10,8 +10,8 @@ server. Degradation provenance travels on the :class:`SpecOutcome`
 path returns exactly what a direct ``spec.run()`` returns, which is
 what keeps served results byte-identical to the underlying API.
 
-:func:`pool_task` is the module-level (picklable) form the
-:class:`~repro.parallel.service.WorkerPool` process mode schedules.
+:func:`pool_task` is the module-level (picklable) task the broker's
+process mode runs on its :class:`~repro.parallel.SupervisedPool`.
 
 Fleet scenarios (:class:`~repro.fleet.model.FleetScenario`, wire kind
 ``"fleet"``) ride the same rails through
@@ -163,11 +163,10 @@ class PoolPayload:
 
 
 def pool_task(payload: PoolPayload, spec_dict: dict) -> SpecOutcome:
-    """The :class:`~repro.parallel.service.WorkerPool` task: rebuild
-    the request from its wire form and evaluate it resiliently
-    (module-level for pickling). Routes on the ``"kind"`` tag —
-    ``"fleet"`` dicts rebuild a fleet scenario, everything else an
-    experiment spec."""
+    """The process-mode pool task: rebuild the request from its wire
+    form and evaluate it resiliently (module-level for pickling).
+    Routes on the ``"kind"`` tag — ``"fleet"`` dicts rebuild a fleet
+    scenario, everything else an experiment spec."""
     options = ResilienceOptions(retry_policy=payload.retry_policy,
                                 allow_degraded=payload.allow_degraded)
     if spec_dict.get("kind") == "fleet":

@@ -312,6 +312,19 @@ class TestModel:
                            match=r"^unknown fleet config key\(s\): "
                                  r"n_tankss$"):
             FleetConfig.from_dict({"n_tankss": 2})
+        # the scenario's own keys follow the same rule
+        wire = SMALL.to_dict()
+        wire["duration_s"] = int(SMALL.duration_s)
+        back = FleetScenario.from_dict(json.loads(json.dumps(wire)))
+        assert back == SMALL and type(back.duration_s) is float
+        assert spec_hash(back) == spec_hash(SMALL)
+        for name, bad in (("seed", "5"), ("seed", 5.7), ("seed", True),
+                          ("duration_s", "7200"), ("duration_s", True),
+                          ("label", 3), ("label", None),
+                          ("policy", None)):
+            with pytest.raises(ConfigurationError,
+                               match=rf"fleet scenario key '{name}'"):
+                FleetScenario.from_dict({"kind": "fleet", name: bad})
 
     def test_scenario_round_trips_tagged(self):
         d = STALL_PRONE.to_dict()

@@ -21,7 +21,7 @@ from repro.obs import get_registry
 from repro.obs.metrics import MetricsRegistry
 from repro.parallel import (
     ParallelConfig,
-    WorkerPool,
+    SupervisedPool,
     blas_threads,
     chunk_indices,
     derive_seed,
@@ -187,9 +187,10 @@ class TestOneBlasThread:
         assert _blas_pinned() == len(loaded_blas)
 
     def test_serve_worker_pool_runs_at_one_thread(self, loaded_blas):
-        with WorkerPool(_blas_threads_task, None, workers=1) as pool:
-            got = pool.submit(0).result(timeout=60)
-        assert got == {path: 1 for path in loaded_blas}
+        """The long-lived pool the serve broker submits requests to."""
+        with SupervisedPool(_blas_threads_task, None) as pool:
+            done, _ = pool.submit([(0, 0)]).result(timeout=60)
+        assert done == [(0, {path: 1 for path in loaded_blas})]
 
     def test_inline_engine_restores_the_callers_counts(self, loaded_blas):
         set_blas_threads(2)

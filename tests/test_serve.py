@@ -31,13 +31,14 @@ from repro.errors import (
     ThermalModelError,
     TransientSolverError,
 )
-from repro.obs import counter, validate_manifest
+from repro.obs import counter, histogram, validate_manifest
 from repro.resilience import ResilienceOptions, RetryPolicy
 from repro.serve import (
     Broker,
     BrokerConfig,
     ResultCache,
     ServeClient,
+    ServeRequest,
     SpecOutcome,
     result_from_dict,
     result_to_json,
@@ -189,6 +190,43 @@ class TestResultCache:
             ResultCache(capacity=0)
         with pytest.raises(ConfigurationError):
             ResultCache(ttl_s=0.0)
+
+
+# -- non-finite numbers at the config boundary -----------------------------
+
+_NON_FINITE = [float("nan"), float("inf"), float("-inf")]
+
+
+class TestNonFiniteRejected:
+    """NaN and ±inf stop at the serve config boundary as a
+    ConfigurationError naming the field: a NaN deadline or TTL would
+    otherwise never expire."""
+
+    @pytest.mark.parametrize("name", ["cache_ttl_s", "default_deadline_s",
+                                      "slo_window_s"])
+    @pytest.mark.parametrize("bad", _NON_FINITE, ids=["nan", "inf", "-inf"])
+    def test_broker_config_field(self, name, bad):
+        with pytest.raises(ConfigurationError,
+                           match=rf"'{name}' must be finite"):
+            BrokerConfig(**{name: bad})
+
+    @pytest.mark.parametrize("bad", _NON_FINITE, ids=["nan", "inf", "-inf"])
+    def test_request_deadline(self, bad):
+        with pytest.raises(ConfigurationError,
+                           match="'deadline_s' must be finite"):
+            ServeRequest(spec=fast_spec(), deadline_s=bad)
+
+    def test_cli_cache_ttl_nan_exits_2(self, monkeypatch, capsys):
+        import repro.serve
+        from repro.cli import main
+
+        def no_broker(*args, **kwargs):
+            raise AssertionError("a NaN TTL reached the broker")
+
+        monkeypatch.setattr(repro.serve, "Broker", no_broker)
+        assert main(["serve", "--cache-ttl", "nan"]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "error: broker config 'cache_ttl_s' must be finite, got nan"]
 
 
 # -- broker scheduling ------------------------------------------------------
@@ -466,6 +504,8 @@ class TestResilientRunner:
 class TestProcessMode:
     def test_pool_results_match_direct(self):
         spec = fast_spec()
+        items = histogram("parallel.item_seconds")
+        before = items.count
         broker = Broker(BrokerConfig(workers=2, use_processes=True))
         client = ServeClient(broker)
         try:
@@ -474,6 +514,8 @@ class TestProcessMode:
         finally:
             broker.shutdown(drain=True)
         assert result_to_json(served) == result_to_json(spec.run())
+        # the broker times each pooled request
+        assert items.count == before + 1
 
 
 def _pool_add(payload, item):
@@ -482,21 +524,25 @@ def _pool_add(payload, item):
 
 
 class TestWorkerPool:
+    """The broker's process pool: a long-lived ``SupervisedPool`` fed
+    one-item chunks."""
+
     def test_submit_and_metrics_repatriation(self):
-        from repro.parallel import WorkerPool
+        from repro.parallel import ParallelConfig, SupervisedPool
         before = counter("test.pool_items").value
-        with WorkerPool(_pool_add, 10, workers=2) as pool:
-            futs = [pool.submit(i) for i in range(5)]
-            assert [f.result(timeout=60) for f in futs] == \
-                [10, 11, 12, 13, 14]
+        with SupervisedPool(_pool_add, 10,
+                            ParallelConfig(workers=2)) as pool:
+            futs = [pool.submit([(0, i)]) for i in range(5)]
+            assert [f.result(timeout=60)[0] for f in futs] == \
+                [[(0, 10 + i)] for i in range(5)]
         assert counter("test.pool_items").value - before == 5
 
     def test_closed_pool_rejects(self):
-        from repro.parallel import WorkerPool
-        pool = WorkerPool(_pool_add, 0, workers=1)
+        from repro.parallel import SupervisedPool
+        pool = SupervisedPool(_pool_add, 0)
         pool.close()
         with pytest.raises(ConfigurationError):
-            pool.submit(1)
+            pool.submit([(0, 1)])
 
 
 # -- HTTP endpoint ----------------------------------------------------------
@@ -580,6 +626,10 @@ class TestHTTP:
         with pytest.raises(ServeError, match="infinity"):
             client.submit({"chip": "low-power-cmp"},
                           priority=float("inf"))
+        with pytest.raises(ServeError,
+                           match="'deadline_s' must be finite"):
+            client.submit({"chip": "low-power-cmp"},
+                          deadline_s=float("nan"))
 
     def test_unknown_job_is_a_404(self, http_serve):
         _, _, client = http_serve

@@ -40,10 +40,9 @@ from repro.parallel import (
     ParallelConfig,
     Poisoned,
     SupervisedPool,
-    SupervisorConfig,
-    WorkerPool,
     run_chunked,
 )
+from repro.parallel.supervisor import restart_delay_s
 from repro.resilience import FaultSpec, ProcessFaultPlan, ResilienceOptions, \
     RetryPolicy
 
@@ -90,7 +89,7 @@ def options():
 class TestSupervisedPool:
     def test_round_trip(self):
         with SupervisedPool(_square, 100,
-                            SupervisorConfig(workers=2, **FAST)) as p:
+                            ParallelConfig(workers=2, **FAST)) as p:
             results, wall = p.submit([(0, 1), (1, 2)],
                                      key="chunk/0-1").result(timeout=60)
         assert results == [(0, 101), (1, 104)]
@@ -153,7 +152,7 @@ class TestSupervisedPool:
 
     def test_submit_after_close_raises_structured(self):
         pool = SupervisedPool(_square, 0,
-                              SupervisorConfig(workers=1, **FAST))
+                              ParallelConfig(workers=1, **FAST))
         pool.close()
         assert pool.closed
         with pytest.raises(PoolClosedError, match="resubmit"):
@@ -161,20 +160,36 @@ class TestSupervisedPool:
 
     def test_empty_chunk_rejected(self):
         with SupervisedPool(_square, 0,
-                            SupervisorConfig(workers=1, **FAST)) as p:
+                            ParallelConfig(workers=1, **FAST)) as p:
             with pytest.raises(ConfigurationError):
                 p.submit([])
 
     def test_config_validation(self):
         with pytest.raises(ConfigurationError):
-            SupervisorConfig(workers=0)
+            ParallelConfig(workers=0)
         with pytest.raises(ConfigurationError):
-            SupervisorConfig(heartbeat_timeout_s=0.01,
-                             heartbeat_interval_s=0.2)
+            ParallelConfig(max_task_crashes=0)
+
+    @pytest.mark.parametrize("bad", [
+        dict(heartbeat_interval_s=0.2, heartbeat_timeout_s=0.1),
+        dict(heartbeat_interval_s=0.0),
+        dict(task_timeout_s=0.0),
+    ], ids=["timeout-under-interval", "interval", "task-timeout"])
+    def test_inline_config_checks_supervision_fields(self, bad):
+        """The supervision checks hold for every config, inline too."""
         with pytest.raises(ConfigurationError):
-            SupervisorConfig(max_task_crashes=0)
-        assert SupervisorConfig().backoff_s(1) <= \
-            SupervisorConfig().backoff_s(10)
+            ParallelConfig(**bad)
+
+    def test_restart_delay_grows_and_is_capped(self):
+        delays = [restart_delay_s(n) for n in range(1, 12)]
+        assert delays[:3] == [0.05, 0.1, 0.2]
+        assert delays == sorted(delays)
+        assert delays[-1] == 2.0
+
+    def test_default_config_is_one_worker(self):
+        with SupervisedPool(_square, 0) as p:
+            assert p.config.workers == 1
+            assert p.submit([(0, 3)]).result(timeout=60)[0] == [(0, 9)]
 
 
 class TestProcessFaultPlan:
@@ -204,26 +219,31 @@ class TestProcessFaultPlan:
 # -- the serving pool --------------------------------------------------------
 
 class TestServiceWorkerPool:
+    """The pool as the serve broker drives it: long-lived, fed one-item
+    chunks."""
+
     def test_crash_fails_item_but_pool_survives(self):
-        """The poisoned item fails structurally; later items succeed."""
-        with WorkerPool(_square, 0, workers=1,
-                        fault_plan=kill_plan(max_fires=2)) as pool:
+        """The poisoned item fails structurally; the pool stays open."""
+        with SupervisedPool(_square, 0, ParallelConfig(**FAST),
+                            fault_plan=kill_plan(max_fires=2)) as pool:
             with pytest.raises(WorkerCrashError) as err:
-                pool.submit(3).result(timeout=60)
+                pool.submit([(0, 3)]).result(timeout=60)
             assert err.value.crashes == 2
             assert err.value.to_dict()["error"] == "worker_crash"
+            assert not pool.closed
 
     def test_transient_crash_retried_transparently(self):
-        with WorkerPool(_square, 0, workers=1,
-                        fault_plan=kill_plan(max_fires=1)) as pool:
-            assert pool.submit(4).result(timeout=60) == 16
+        with SupervisedPool(_square, 0, ParallelConfig(**FAST),
+                            fault_plan=kill_plan(max_fires=1)) as pool:
+            done, _ = pool.submit([(0, 4)]).result(timeout=60)
+        assert done == [(0, 16)]
 
     def test_closed_pool_raises_pool_closed(self):
-        pool = WorkerPool(_square, 0, workers=1)
+        pool = SupervisedPool(_square, 0)
         pool.close()
         assert pool.closed
         with pytest.raises(PoolClosedError):
-            pool.submit(1)
+            pool.submit([(0, 1)])
 
 
 # -- campaigns under process faults ------------------------------------------

@@ -6,7 +6,8 @@ those recorded inside forked pool workers — chains through its
 parents back to the submitting process's root span, with no id
 collisions between processes. These tests pin that end to end over
 :func:`repro.parallel.run_chunked` (inline, supervised, and bare-
-executor paths) and :class:`repro.parallel.service.WorkerPool`, plus
+executor paths) and a long-lived :class:`repro.parallel.
+SupervisedPool` fed one-item chunks (the serve broker's shape), plus
 the lossless Chrome ``trace_event`` round-trip of a multi-pid trace.
 """
 
@@ -25,8 +26,7 @@ from repro.obs import (
     spans_from_chrome,
     split_span_id,
 )
-from repro.parallel import ParallelConfig, run_chunked
-from repro.parallel.service import WorkerPool
+from repro.parallel import ParallelConfig, SupervisedPool, run_chunked
 
 
 def _traced_point(payload, item):
@@ -110,12 +110,14 @@ class TestMergedTrace:
                 assert parent.name == "parallel.run"
                 assert parent.pid == os.getpid()
 
-    def test_repatriation_counter_increments(self, tracer):
+    @pytest.mark.parametrize("supervised", [True, False])
+    def test_repatriation_counter_increments(self, tracer, supervised):
         before = get_registry().snapshot()["counters"].get(
             "trace.spans_repatriated", 0)
         with tracer.span("test.root"):
             run_chunked(list(range(4)), _traced_point, None,
-                        config=ParallelConfig(workers=2, chunk_size=2))
+                        config=ParallelConfig(workers=2, chunk_size=2,
+                                              supervised=supervised))
         after = get_registry().snapshot()["counters"].get(
             "trace.spans_repatriated", 0)
         # 2 chunks x (1 chunk span + 2 point spans + 2 solve spans).
@@ -151,10 +153,11 @@ class TestMergedTrace:
         at *submit* time — the shipped context — not the stale stack
         entry its main thread inherited through fork."""
         with tracer.span("startup"):
-            pool = WorkerPool(_traced_point, None, workers=1)
+            pool = SupervisedPool(_traced_point, None)
         try:
             with tracer.span("dispatch"):
-                assert pool.submit(3).result(timeout=60) == 9
+                done, _ = pool.submit([(0, 3)]).result(timeout=60)
+                assert done == [(0, 9)]
         finally:
             pool.close()
         by_id = {s.span_id: s for s in tracer.spans}
@@ -164,12 +167,14 @@ class TestMergedTrace:
             assert by_id[s.parent_id].name == "dispatch"
 
     def test_worker_pool_merges_before_future_resolves(self, tracer):
-        with WorkerPool(_traced_point, None, workers=2) as pool:
+        with SupervisedPool(_traced_point, None,
+                            ParallelConfig(workers=2)) as pool:
             with tracer.span("test.root", kind="serve"):
-                futs = [pool.submit(i) for i in range(4)]
-                assert [f.result(timeout=60) for f in futs] == \
-                    [i * i for i in range(4)]
-        spans = tracer.spans
+                futs = [pool.submit([(0, i)]) for i in range(4)]
+                assert [f.result(timeout=60)[0] for f in futs] == \
+                    [[(0, i * i)] for i in range(4)]
+            # still open: the spans arrived with the results
+            spans = tracer.spans
         by_id = {s.span_id: s for s in spans}
         root = next(s for s in spans if s.name == "test.root")
         points = [s for s in spans if s.name == "worker.point"]
