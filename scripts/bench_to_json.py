@@ -679,8 +679,15 @@ def _flatten_timings(doc: dict) -> dict[str, float]:
                 metrics[f"grids.{grid}.seconds.{mode}"] = float(secs)
     elif bench == "serve":
         metrics["wall_s"] = float(doc.get("wall_s", 0.0))
+        # p90 falls where cache hits give way to computed requests, so
+        # it moves with how many evaluations rank below it: 1.16-1.99x
+        # the checked-in baseline over 20 runs of unchanged code on a
+        # shared 2-core host, 5 of them past +50%. It stays in the
+        # document and out of the gate. (p50 0.79-1.07x, p99
+        # 0.83-1.18x, max 0.84-1.20x, wall_s 0.85-1.15x.)
         for q, v in doc.get("latency_s", {}).items():
-            metrics[f"latency_s.{q}"] = float(v)
+            if q != "p90":
+                metrics[f"latency_s.{q}"] = float(v)
     elif bench == "supervisor":
         for mode, secs in doc.get("seconds", {}).items():
             metrics[f"seconds.{mode}"] = float(secs)

@@ -176,8 +176,7 @@ class ExperimentSpec:
         return replace(DEFAULT_PACKAGE, **self.package_overrides)
 
     def thermal_model(self):
-        """The configured ThermalModel (built fresh; not memoized when
-        overrides are present)."""
+        """A new ThermalModel for this spec, built on every call."""
         from .cooling.options import get_cooling
         from .power.processors import get_chip
         from .stack.chipstack import StackConfig, flip_even_layers

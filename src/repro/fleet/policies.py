@@ -178,15 +178,13 @@ class BoardRing(FreeBoards):
         return bool(self._order)
 
     def take_from(self, cursor: int) -> BoardView:
-        """Place a job on the first board at or after ``cursor``,
-        wrapping; return its view as offered.
-
-        The cursor wraps modulo the highest *free* board + 1, so with
-        the top boards full a cursor past them lands mid-array rather
-        than on board 0.
-        """
+        """Place a job on the first free board at or after ``cursor``,
+        or on the lowest free board when there is none; return its
+        view as offered."""
         order = self._order
-        pos = bisect_left(order, cursor % (order[-1] + 1))
+        pos = bisect_left(order, cursor)
+        if pos == len(order):
+            pos = 0
         i = self._index[pos]
         view = self._boards.view(i, self._running[i])
         if view.free_slots == 1:
@@ -235,7 +233,8 @@ class RoundRobinPolicy(PlacementPolicy):
         return BoardRing(boards)
 
     def select(self, free: BoardRing) -> BoardView:
-        # first free board at or after the cursor, wrapping
+        # first free board at or after the cursor, wrapping to the
+        # lowest free board
         chosen = free.take_from(self._cursor)
         self._cursor = chosen.board + 1
         return chosen

@@ -18,6 +18,7 @@ bench cross-checks it against the event-driven simulator.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -54,6 +55,28 @@ class AnalyticBreakdown:
         return self.fixed_seconds / total if total > 0 else 0.0
 
 
+#: ``(imbalance_cv, threads)`` pairs whose imbalance factor is kept.
+IMBALANCE_MEMO_SIZE = 1024
+
+
+@lru_cache(maxsize=IMBALANCE_MEMO_SIZE)
+def _imbalance_factor(cv: float, threads: int) -> float:
+    """Expected slowest-of-N inflation for per-barrier work.
+
+    For N unit-mean log-normals with coefficient of variation cv,
+    E[max] ~= exp(sigma * Phi^{-1}(N/(N+1)) - sigma^2/2); we use the
+    standard extreme-value approximation. Memoized: the normal quantile
+    is the analytic tier's one costly step, and it depends only on the
+    thread count.
+    """
+    if cv <= 0 or threads == 1:
+        return 1.0
+    from scipy.stats import norm
+    sigma = float(np.sqrt(np.log(1.0 + cv * cv)))
+    q = norm.ppf(threads / (threads + 1.0))
+    return float(np.exp(sigma * q - 0.5 * sigma * sigma))
+
+
 class AnalyticModel:
     """Closed-form execution-time model for one system configuration.
 
@@ -86,21 +109,6 @@ class AnalyticModel:
         self._hier: CacheHierarchyTiming = config.hierarchy
         self._dram: DramParams = config.dram
 
-    def _imbalance_factor(self, profile: WorkloadProfile) -> float:
-        """Expected slowest-of-N inflation for per-barrier work.
-
-        For N unit-mean log-normals with coefficient of variation cv,
-        E[max] ~= exp(sigma * Phi^{-1}(N/(N+1)) - sigma^2/2); we use the
-        standard extreme-value approximation.
-        """
-        cv = profile.imbalance_cv
-        if cv <= 0 or self.threads == 1:
-            return 1.0
-        from scipy.stats import norm
-        sigma = float(np.sqrt(np.log(1.0 + cv * cv)))
-        q = norm.ppf(self.threads / (self.threads + 1.0))
-        return float(np.exp(sigma * q - 0.5 * sigma * sigma))
-
     def breakdown(self, profile: WorkloadProfile, f_hz: float
                   ) -> AnalyticBreakdown:
         """Decompose per-instruction time at a clock frequency."""
@@ -127,7 +135,8 @@ class AnalyticModel:
             f_hz=f_hz,
             clocked_cycles=clocked,
             fixed_seconds=fixed,
-            imbalance_factor=self._imbalance_factor(profile),
+            imbalance_factor=_imbalance_factor(profile.imbalance_cv,
+                                               self.threads),
         )
 
     def _queue_wait_s(self, profile: WorkloadProfile,

@@ -117,17 +117,27 @@ class MeshNetwork:
                 + vertical * self.vertical_link_cycles)
 
     def mean_hop_distance(self) -> float:
-        """Average hop distance over all node pairs (analytic tier)."""
-        nodes = self.topo.all_nodes()
-        if len(nodes) == 1:
+        """Average hop distance over all unordered node pairs (analytic
+        tier), in closed form.
+
+        XY-Z hops are the per-axis distances summed, so over the
+        ``N = w·h·c`` nodes the pair total is
+
+            Σ_{k ∈ (w, h, c)} (N // k)² · (k³ − k) // 6
+
+        (a pair of distinct coordinates on an axis of length k is joined
+        by (N // k)² node pairs, and Σ_{i<j} (j − i) = (k³ − k) / 6 on
+        that axis). Both it and the pair count ``N(N − 1) // 2`` are
+        exact ints, so the quotient is the same float as the pair-by-pair
+        mean. One node gives 0.0.
+        """
+        t = self.topo
+        n = t.num_nodes
+        if n == 1:
             return 0.0
-        total = 0
-        count = 0
-        for i, a in enumerate(nodes):
-            for b in nodes[i + 1:]:
-                total += self.topo.hop_distance(a, b)
-                count += 1
-        return total / count
+        total = sum((n // k) ** 2 * (k ** 3 - k) // 6
+                    for k in (t.width, t.height, t.chips))
+        return total / (n * (n - 1) // 2)
 
 
 def expected_noc_cycles(topo: MeshTopology,

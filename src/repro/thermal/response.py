@@ -99,6 +99,13 @@ def response_enabled() -> bool:
     return os.environ.get(DISABLE_ENV, "") in ("", "0")
 
 
+#: Geometries whose digest :func:`geometry_digest` keeps.
+DIGEST_MEMO_SIZE = 64
+
+_digest_memo: OrderedDict[tuple, tuple] = OrderedDict()
+_digest_memo_lock = threading.Lock()
+
+
 def geometry_digest(stack: StackConfig, cooling: "CoolingOption",
                     params: PackageParams = DEFAULT_PACKAGE) -> str:
     """Content address of a thermal geometry (SHA-256 hex digest).
@@ -113,7 +120,43 @@ def geometry_digest(stack: StackConfig, cooling: "CoolingOption",
     Hashes through :func:`repro.obs.canonical_config`, the same
     normalization the serving layer keys its caches with, so "the same
     geometry" means the same thing everywhere.
+
+    Memoized per geometry. The key holds the schema version, the
+    floorplan, cooling and package objects, and the stack's scalars
+    each with its type (``True == 1`` as a key, but the digest keeps
+    them apart). A hit also needs the very objects the entry was
+    computed from: two equal objects may still differ in a leaf's type,
+    while one frozen object always digests the same. Unhashable inputs
+    are digested without the memo.
     """
+    fp = stack.chip.floorplan()
+    thickness = stack.chip.die_thickness_m
+    rotations = tuple(stack.effective_rotations)
+    objects = (fp, cooling, params)
+    key = (RESPONSE_SCHEMA_VERSION, *objects, type(thickness), thickness,
+           type(stack.n_chips), stack.n_chips,
+           tuple(map(type, rotations)), rotations)
+    try:
+        with _digest_memo_lock:
+            hit = _digest_memo.get(key)
+            if hit is not None and all(
+                    a is b for a, b in zip(hit[0], objects)):
+                _digest_memo.move_to_end(key)
+                return hit[1]
+    except TypeError:
+        return _geometry_digest(stack, cooling, params)
+    digest = _geometry_digest(stack, cooling, params)
+    with _digest_memo_lock:
+        _digest_memo[key] = (objects, digest)
+        _digest_memo.move_to_end(key)
+        while len(_digest_memo) > DIGEST_MEMO_SIZE:
+            _digest_memo.popitem(last=False)
+    return digest
+
+
+def _geometry_digest(stack: StackConfig, cooling: "CoolingOption",
+                     params: PackageParams) -> str:
+    """:func:`geometry_digest` without the memo."""
     fp = stack.chip.floorplan()
     doc = {
         "schema": RESPONSE_SCHEMA_VERSION,

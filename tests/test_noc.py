@@ -20,6 +20,21 @@ from repro.perfsim.noc import (
 from repro.perfsim.noc.routing import links_of
 
 
+def _pair_walk_mean(topo: MeshTopology) -> float:
+    """Mean hop distance by walking every unordered node pair: the
+    reference for :meth:`MeshNetwork.mean_hop_distance`."""
+    nodes = topo.all_nodes()
+    if len(nodes) == 1:
+        return 0.0
+    total = 0
+    count = 0
+    for i, a in enumerate(nodes):
+        for b in nodes[i + 1:]:
+            total += topo.hop_distance(a, b)
+            count += 1
+    return total / count
+
+
 class TestTopology:
     def test_table1_mesh(self):
         topo = MeshTopology()
@@ -196,6 +211,17 @@ class TestMeshNetwork:
         # 16/15, so 2 * 1.25 * 16/15 = 8/3.
         net = MeshNetwork(MeshTopology(4, 4, 1))
         assert net.mean_hop_distance() == pytest.approx(8.0 / 3.0)
+
+    @pytest.mark.parametrize("chips", range(1, 13))
+    def test_mean_hop_distance_matches_the_pair_walk(self, chips):
+        """The closed form equals the pair-by-pair mean it replaced,
+        float for float."""
+        for w in range(1, 7):
+            for h in range(1, 7):
+                topo = MeshTopology(w, h, chips)
+                net = MeshNetwork(topo)
+                assert net.mean_hop_distance() == _pair_walk_mean(topo), \
+                    (w, h, chips)
 
     def test_expected_cycles_3leg_exceeds_2leg(self):
         topo = MeshTopology(4, 4, 2)

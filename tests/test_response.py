@@ -20,6 +20,7 @@ import json
 import os
 import subprocess
 import sys
+from collections import OrderedDict
 from dataclasses import replace
 from pathlib import Path
 
@@ -35,7 +36,8 @@ from repro.power.processors import get_chip
 from repro.stack.chipstack import StackConfig, flip_even_layers
 from repro.thermal.hotspot import ThermalModel
 from repro.thermal.network import ThermalNetwork
-from repro.thermal.package import build_network
+from repro.thermal import response
+from repro.thermal.package import DEFAULT_PACKAGE, build_network
 from repro.thermal.response import (
     DISABLE_ENV,
     RESPONSE_SCHEMA_VERSION,
@@ -195,46 +197,70 @@ class TestExactness:
                                                  abs=1e-9)
 
 
+def _digest(stack, cooling, params):
+    """:func:`geometry_digest`, checked against a recomputation that
+    bypasses its memo."""
+    digest = geometry_digest(stack, cooling, params)
+    assert digest == response._geometry_digest(stack, cooling, params)
+    return digest
+
+
 class TestGeometryDigest:
     """Content addressing: what keys alike, what keys apart."""
 
     def test_same_geometry_same_digest(self, fast_params):
         chip = get_chip("low-power-cmp")
-        a = geometry_digest(StackConfig(chip, 3), get_cooling("water"),
-                            fast_params)
-        b = geometry_digest(StackConfig(chip, 3), get_cooling("water"),
-                            fast_params)
-        assert a == b
+        a = _digest(StackConfig(chip, 3), get_cooling("water"),
+                    fast_params)
+        b = _digest(StackConfig(chip, 3), get_cooling("water"),
+                    fast_params)
+        # an equal but distinct PackageParams object
+        c = _digest(StackConfig(chip, 3), get_cooling("water"),
+                    replace(fast_params))
+        assert a == b == c
+
+    @pytest.mark.parametrize("first", ("int", "bool"))
+    def test_int_and_bool_rotation_flags_digest_apart(self, first,
+                                                      monkeypatch):
+        """``(1, 0) == (True, False)`` as a key, but the digest keeps
+        ints and bools apart; the memo must too, in either query
+        order."""
+        monkeypatch.setattr(response, "_digest_memo", OrderedDict())
+        chip = get_chip("low-power-cmp")
+        stacks = {"int": StackConfig(chip, 2, rotations=(1, 0)),
+                  "bool": StackConfig(chip, 2, rotations=(True, False))}
+        second = "bool" if first == "int" else "int"
+        digests = {k: _digest(stacks[k], get_cooling("water"),
+                              DEFAULT_PACKAGE)
+                   for k in (first, second, first)}
+        assert digests["int"] != digests["bool"]
 
     def test_geometry_changes_change_the_digest(self, fast_params,
                                                 monkeypatch):
         chip = get_chip("low-power-cmp")
-        base = geometry_digest(StackConfig(chip, 3), get_cooling("water"),
-                               fast_params)
-        assert geometry_digest(StackConfig(chip, 4),
-                               get_cooling("water"), fast_params) != base
-        assert geometry_digest(StackConfig(chip, 3),
-                               get_cooling("air"), fast_params) != base
-        assert geometry_digest(flip_even_layers(chip, 3),
-                               get_cooling("water"), fast_params) != base
+        water = get_cooling("water")
+        base = _digest(StackConfig(chip, 3), water, fast_params)
+        assert _digest(StackConfig(chip, 4), water, fast_params) != base
+        assert _digest(StackConfig(chip, 3), get_cooling("air"),
+                       fast_params) != base
+        assert _digest(flip_even_layers(chip, 3), water,
+                       fast_params) != base
         coarser = replace(fast_params, die_grid=4)
-        assert geometry_digest(StackConfig(chip, 3),
-                               get_cooling("water"), coarser) != base
+        assert _digest(StackConfig(chip, 3), water, coarser) != base
         # operators an older builder wrote to a store (same geometry,
         # other last bits) are never served next to new builds
         monkeypatch.setattr("repro.thermal.response.RESPONSE_SCHEMA_VERSION",
                             RESPONSE_SCHEMA_VERSION - 1)
-        assert geometry_digest(StackConfig(chip, 3),
-                               get_cooling("water"), fast_params) != base
+        assert _digest(StackConfig(chip, 3), water, fast_params) != base
 
     def test_power_model_does_not_affect_the_digest(self, fast_params):
         """Two chips sharing a floorplan share operators."""
         chip = get_chip("low-power-cmp")
         hotter = replace(chip, max_power_w=chip.max_power_w * 2)
-        a = geometry_digest(StackConfig(chip, 3), get_cooling("water"),
-                            fast_params)
-        b = geometry_digest(StackConfig(hotter, 3), get_cooling("water"),
-                            fast_params)
+        a = _digest(StackConfig(chip, 3), get_cooling("water"),
+                    fast_params)
+        b = _digest(StackConfig(hotter, 3), get_cooling("water"),
+                    fast_params)
         assert a == b
 
 

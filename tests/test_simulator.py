@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.errors import SimulationError
@@ -12,6 +13,7 @@ from repro.perfsim import (
     get_profile,
     simulate_npb,
 )
+from repro.perfsim.npb import NPB_ORDER
 from repro.perfsim.system import CmpSystem, config_for_stack
 from repro.power.processors import get_chip
 from repro.units import ghz
@@ -171,6 +173,25 @@ class TestAnalyticModel:
         p = get_profile("ua")
         assert (many.breakdown(p, ghz(2.0)).imbalance_factor
                 > few.breakdown(p, ghz(2.0)).imbalance_factor)
+
+    @pytest.mark.parametrize("threads", (1, 2, 3, 16, 64, 1024))
+    def test_imbalance_factor_matches_the_direct_expression(self, threads):
+        """The memoized factor is the scipy expression, bit for bit, on
+        its first and on a repeated query."""
+        from scipy.stats import norm
+        model = AnalyticModel(SystemConfig(n_chips=2), threads=threads)
+        for name in NPB_ORDER:
+            p = get_profile(name)
+            cv = p.imbalance_cv
+            if cv <= 0 or threads == 1:
+                expected = 1.0
+            else:
+                sigma = float(np.sqrt(np.log(1.0 + cv * cv)))
+                q = norm.ppf(threads / (threads + 1.0))
+                expected = float(np.exp(sigma * q - 0.5 * sigma * sigma))
+            for _ in range(2):
+                got = model.breakdown(p, ghz(2.0)).imbalance_factor
+                assert got == expected, (name, threads)
 
     def test_invalid_frequency_rejected(self, cfg2):
         with pytest.raises(SimulationError):
