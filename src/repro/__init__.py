@@ -34,6 +34,7 @@ from .cooling import get_cooling
 from .core import OperatingPoint, max_frequency
 from .power import get_chip
 from .stack import StackConfig, flip_even_layers, uniform_stack
+from .stack.chipstack import flip_rotations
 from .thermal import ThermalModel, model_for
 
 
@@ -54,8 +55,8 @@ def quick_max_frequency(chip: str, n_chips: int, cooling: str,
     Returns:
         The maximum-frequency operating point.
     """
-    rotations = (tuple(i % 2 == 1 for i in range(n_chips)) if flip else ())
-    model = model_for(chip, n_chips, cooling, rotations)
+    model = model_for(chip, n_chips, cooling,
+                      flip_rotations(n_chips) if flip else ())
     return max_frequency(model, threshold_c)
 
 

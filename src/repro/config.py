@@ -175,25 +175,24 @@ class ExperimentSpec:
             return DEFAULT_PACKAGE
         return replace(DEFAULT_PACKAGE, **self.package_overrides)
 
-    def thermal_model(self):
-        """A new ThermalModel for this spec, built on every call."""
-        from .cooling.options import get_cooling
-        from .power.processors import get_chip
-        from .stack.chipstack import StackConfig, flip_even_layers
-        from .thermal.hotspot import ThermalModel
-        chip = get_chip(self.chip)
-        stack = (flip_even_layers(chip, self.n_chips) if self.flip
-                 else StackConfig(chip=chip, n_chips=self.n_chips))
-        return ThermalModel(stack, get_cooling(self.cooling),
-                            self.package_params())
-
     # -- execution -----------------------------------------------------------------
 
     def run(self) -> "ExperimentResult":
-        """Execute the power -> thermal -> performance pipeline."""
-        from .core.freqopt import max_frequency
+        """Execute the power -> thermal -> performance pipeline.
 
-        model = self.thermal_model()
+        The thermal model comes from :func:`~repro.thermal.hotspot.
+        model_for`, the bounded model cache campaigns and the fleet
+        share, so a spec that differs from an earlier one only in
+        threshold, threads or benchmarks searches temperatures its
+        model already holds.
+        """
+        from .core.freqopt import max_frequency
+        from .stack.chipstack import flip_rotations
+        from .thermal.hotspot import model_for
+
+        rotations = flip_rotations(self.n_chips) if self.flip else ()
+        model = model_for(self.chip, self.n_chips, self.cooling, rotations,
+                          self.package_params())
         point = max_frequency(model, self.threshold_c)
         return self.result_from_point(point)
 

@@ -70,6 +70,11 @@ class StackConfig:
         return f"{self.chip.name} x{self.n_chips} [{rot}]"
 
 
+def flip_rotations(n_chips: int) -> tuple[bool, ...]:
+    """The rotation flags of :func:`flip_even_layers`, bottom first."""
+    return tuple(i % 2 == 1 for i in range(n_chips))
+
+
 def flip_even_layers(chip: ChipSpec, n_chips: int) -> StackConfig:
     """The paper's Section 4.2 schedule: rotate all even layers 180 deg.
 
@@ -78,8 +83,8 @@ def flip_even_layers(chip: ChipSpec, n_chips: int) -> StackConfig:
     are rotated; adjacent dies always differ, which is the property that
     overlaps core rows with cache areas.
     """
-    rotations = tuple(i % 2 == 1 for i in range(n_chips))
-    return StackConfig(chip=chip, n_chips=n_chips, rotations=rotations)
+    return StackConfig(chip=chip, n_chips=n_chips,
+                       rotations=flip_rotations(n_chips))
 
 
 def uniform_stack(chip: ChipSpec, n_chips: int) -> StackConfig:

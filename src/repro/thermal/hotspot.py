@@ -41,15 +41,20 @@ if TYPE_CHECKING:  # avoid a circular import; only needed for annotations
 class ThermalModel:
     """Steady-state thermal model of one stack under one cooling option.
 
-    Die-observable queries resolve the geometry's
-    :class:`~repro.thermal.response.ResponseOperator` (content-addressed,
-    shared in memory and on disk across models and processes, built
-    without any sparse factorization) and answer from ``t0 + R @ p`` —
-    a dense matvec with no sparse solve at all. Full-stack queries
-    (:meth:`result`, :meth:`results_many`) and runs with
-    ``REPRO_RESPONSE_DISABLE`` set take the sparse path, which
-    factorizes the conductance matrix once and reuses it for every
-    frequency.
+    A model holds its assembled network, its geometry digest and the
+    die temperatures it has computed, one read-only vector per VFS
+    step; it holds no response operator. Die-observable queries answer
+    from those temperatures. Only a step not seen before resolves the
+    geometry's :class:`~repro.thermal.response.ResponseOperator`
+    through the process-wide response cache (memory over disk over
+    build, shared across models and processes) and records
+    ``t0 + R @ p``, one dense matvec, so operator memory is bounded by
+    that cache alone. Full-stack queries (:meth:`result`,
+    :meth:`results_many`) and runs with ``REPRO_RESPONSE_DISABLE`` set
+    take the sparse path, which factorizes the conductance matrix once
+    and reuses it for every frequency. Models are shared
+    (:func:`model_for`), so every cached array a query returns is
+    read-only.
 
     Args:
         stack: the 3-D chip stack.
@@ -64,9 +69,9 @@ class ThermalModel:
         self.params = params
         self.network: ThermalNetwork = build_network(stack, cooling, params)
         self._die_names = die_layer_names(stack)
+        self._digest: str | None = None
         self._result_cache: dict[float, ThermalResult] = {}
-        self._response_op: ResponseOperator | None = None
-        self._response_temp_cache: dict[float, np.ndarray] = {}
+        self._temps: dict[float, np.ndarray] = {}
 
     @property
     def die_names(self) -> tuple[str, ...]:
@@ -84,7 +89,7 @@ class ThermalModel:
         key = round(float(f_hz), 3)
         cached = self._result_cache.get(key)
         if cached is None:
-            cached = self.network.solve(self.power_maps(f_hz))
+            cached = _read_only(self.network.solve(self.power_maps(f_hz)))
             self._result_cache[key] = cached
         return cached
 
@@ -109,43 +114,62 @@ class ThermalModel:
             solved = self.network.solve_many(
                 [self.power_maps(f) for f, _ in missing])
             for (_, key), res in zip(missing, solved):
-                self._result_cache[key] = res
+                self._result_cache[key] = _read_only(res)
         return [self._result_cache[key] for key in keys]
 
     def response_operator(self) -> ResponseOperator | None:
         """This geometry's superposition operator (None = disabled).
 
         Resolved through the process-wide content-addressed cache
-        (memory over disk over build), so sibling models, pool workers,
-        and the serve broker all share one dense operator per geometry.
+        (memory over disk over build) on every call and never kept on
+        the model, so sibling models, pool workers and the serve broker
+        share one dense operator per geometry, and evicting it from
+        that cache frees it.
         """
         if not response_enabled():
             return None
-        if self._response_op is None:
-            digest = geometry_digest(self.stack, self.cooling, self.params)
-            self._response_op = response_cache().get_or_build(
-                digest,
-                lambda: build_response_operator(
-                    self.stack, self.cooling, self.params,
-                    network=self.network))
-        return self._response_op
+        return self._operator()
 
-    def _response_temps(self, f_hz: float) -> np.ndarray | None:
-        """Die temperatures via the operator (cached per frequency).
+    def _operator(self) -> ResponseOperator:
+        if self._digest is None:
+            self._digest = geometry_digest(self.stack, self.cooling,
+                                           self.params)
+        return response_cache().get_or_build(
+            self._digest,
+            lambda: build_response_operator(
+                self.stack, self.cooling, self.params,
+                network=self.network))
 
-        Always a single matvec per frequency — never a batched matmul —
-        so scalar probes and ladder batches record bitwise-identical
-        temperatures (checkpoint byte-identity depends on it).
+    def _response_temps(self, f_hz_seq) -> list[np.ndarray]:
+        """Flat die temperatures at each VFS step via the operator.
+
+        Cached per frequency. A call whose steps are all cached touches
+        no operator; otherwise it resolves the operator once and runs
+        one matvec per missing step — never a batched matmul — so
+        scalar probes and ladder batches record bitwise-identical
+        temperatures (checkpoint byte-identity depends on it). Two
+        threads missing the same step both compute it and store the
+        same bits.
         """
-        op = self.response_operator()
-        if op is None:
-            return None
-        key = round(float(f_hz), 3)
-        t = self._response_temp_cache.get(key)
-        if t is None:
-            t = op.temperatures(block_power_vector(self.stack, float(f_hz)))
-            self._response_temp_cache[key] = t
-        return t
+        temps = []
+        op = None
+        for f in f_hz_seq:
+            key = round(float(f), 3)
+            t = self._temps.get(key)
+            if t is None:
+                if op is None:
+                    op = self._operator()
+                t = op.temperatures(block_power_vector(self.stack, float(f)))
+                t.setflags(write=False)
+                self._temps[key] = t
+            temps.append(t)
+        return temps
+
+    def _die_fields(self, t: np.ndarray) -> dict[str, np.ndarray]:
+        """Per-die (grid, grid) views of a flat die-temperature vector."""
+        g = self.params.die_grid
+        return {name: t[i * g * g:(i + 1) * g * g].reshape(g, g)
+                for i, name in enumerate(self._die_names)}
 
     def max_temperature_c(self, f_hz: float) -> float:
         """Hottest die-cell temperature at a VFS step, Celsius.
@@ -153,9 +177,8 @@ class ThermalModel:
         The paper's constraint applies to junction temperature, so only
         die layers are inspected (the heatsink is always cooler).
         """
-        t = self._response_temps(f_hz)
-        if t is not None:
-            return float(t.max())
+        if response_enabled():
+            return float(self._response_temps((f_hz,))[0].max())
         return self.result(f_hz).max_over(self._die_names)
 
     def max_temperatures_many(self, f_hz_seq) -> tuple[float, ...]:
@@ -164,38 +187,36 @@ class ThermalModel:
         The batched counterpart of :meth:`max_temperature_c`: the
         ladder sweeps and the fleet's DTM ladder solve every step of a
         ladder in one call. With the response operator this is a
-        matvec per step; the sparse fallback pushes all steps through
-        one multi-RHS solve.
+        matvec per uncached step; the sparse fallback pushes all steps
+        through one multi-RHS solve.
         """
-        op = self.response_operator()
-        if op is not None:
-            return tuple(float(self._response_temps(f).max())
-                         for f in f_hz_seq)
+        if response_enabled():
+            return tuple(float(t.max())
+                         for t in self._response_temps(f_hz_seq))
         return tuple(res.max_over(self._die_names)
                      for res in self.results_many(f_hz_seq))
 
     def die_temperature_fields(self, f_hz: float) -> dict[str, np.ndarray]:
         """Per-die (grid, grid) temperature fields — the Figs. 9/16/18 maps."""
-        op = self.response_operator()
-        if op is not None:
-            return op.die_fields(self._response_temps(f_hz))
+        if response_enabled():
+            return self._die_fields(self._response_temps((f_hz,))[0])
         res = self.result(f_hz)
         return {name: res.layer(name) for name in self._die_names}
 
     def die_temperature_fields_many(self, f_hz_seq
                                     ) -> list[dict[str, np.ndarray]]:
         """Per-die temperature fields at several VFS steps, batched."""
-        op = self.response_operator()
-        if op is not None:
-            return [op.die_fields(self._response_temps(f)) for f in f_hz_seq]
+        if response_enabled():
+            return [self._die_fields(t)
+                    for t in self._response_temps(f_hz_seq)]
         return [{name: res.layer(name) for name in self._die_names}
                 for res in self.results_many(f_hz_seq)]
 
     def per_die_max_c(self, f_hz: float) -> tuple[float, ...]:
         """Maximum temperature of each die, bottom first."""
-        op = self.response_operator()
-        if op is not None:
-            return op.per_die_max(self._response_temps(f_hz))
+        if response_enabled():
+            fields = self._die_fields(self._response_temps((f_hz,))[0])
+            return tuple(float(field.max()) for field in fields.values())
         res = self.result(f_hz)
         return tuple(res.max_of(name) for name in self._die_names)
 
@@ -205,6 +226,13 @@ class ThermalModel:
         limit = (threshold_c if threshold_c is not None
                  else self.stack.chip.threshold_c)
         return self.max_temperature_c(f_hz) <= limit + 1e-9
+
+
+def _read_only(res: ThermalResult) -> ThermalResult:
+    """``res`` with every layer field made read-only, for caching."""
+    for name in res.layer_names:
+        res.layer(name).setflags(write=False)
+    return res
 
 
 class CacheInfo(NamedTuple):
@@ -229,9 +257,11 @@ class ModelCache:
 
     Args:
         capacity: maximum number of resident models (>= 1). Each entry
-            holds its assembled network, plus a sparse LU factorization
-            once a sparse query has run, so the bound is a real memory
-            bound, not bookkeeping.
+            holds its assembled network and the die temperatures it has
+            computed, plus a sparse LU factorization once a sparse query
+            has run, so the bound is a real memory bound, not
+            bookkeeping. Response operators are not part of it: they
+            live in the response cache alone.
     """
 
     def __init__(self, capacity: int = 128) -> None:
@@ -310,17 +340,24 @@ def model_for(chip_name: str, n_chips: int, cooling_name: str,
               params: PackageParams = DEFAULT_PACKAGE) -> ThermalModel:
     """Memoized model lookup for library chips and cooling options.
 
-    Sweeps over (chips x coolants x stack heights) revisit configurations
-    constantly; the cache keeps each built model alive (bounded LRU —
-    see :class:`ModelCache` for capacity control and statistics).
+    Sweeps over (chips x coolants x stack heights) and served requests
+    revisit configurations constantly; the cache keeps each built model
+    alive with the temperatures it has computed (bounded LRU — see
+    :class:`ModelCache` for capacity control and statistics). Keyed by
+    value: an equal ``params`` built anew finds the same model. The key
+    also holds the type of ``n_chips``: ``2.0 == 2`` as a key, but a
+    model for 2.0 chips fails to build, and a spec naming 2.0 must fail
+    the same way whether or not the 2-chip model is cached.
     """
-    key = (chip_name, n_chips, tuple(rotations), cooling_name, params)
+    rotations = tuple(rotations)
+    key = (chip_name, type(n_chips), n_chips, rotations, cooling_name,
+           params)
 
     def build() -> ThermalModel:
         from ..cooling.options import get_cooling
         from ..power.processors import get_chip
         stack = StackConfig(chip=get_chip(chip_name), n_chips=n_chips,
-                            rotations=tuple(rotations))
+                            rotations=rotations)
         return ThermalModel(stack, get_cooling(cooling_name), params)
 
     return _MODEL_CACHE.get_or_build(key, build)

@@ -16,10 +16,12 @@ per block, by the structured die-stack solve of
 query after that is a dense matvec, with no sparse solver, no
 rasterization, and no factorization in the loop.
 
-Two cache tiers make the operator outlive the model that built it:
+Two cache tiers hold the operators; models hold none, only the
+temperatures they computed from one:
 
 * an in-process LRU (:class:`ResponseCache`), bounded because each
-  entry is a dense ``(n_die_cells, n_blocks + 1)`` array;
+  entry is a dense ``(n_die_cells, n_blocks + 1)`` array — the one
+  bound on the process's operator memory;
 * a content-addressed on-disk store (:class:`ResponseStore`): one
   ``<digest>.npy`` plus a ``<digest>.json`` sidecar per geometry, keyed
   by the SHA-256 of the canonical geometry description
@@ -87,6 +89,10 @@ RESPONSE_SCHEMA_VERSION = 2
 #: kernel entirely: every query falls back to the sparse solver. Used
 #: by the benchmarks to time the pre-operator baseline.
 DISABLE_ENV = "REPRO_RESPONSE_DISABLE"
+
+#: Operators the process-wide response cache keeps in memory. Models do
+#: not hold operators, so this bounds the process's operator memory.
+RESPONSE_CACHE_CAPACITY = 8
 
 #: Directory of the on-disk operator store. An environment variable —
 #: not a plain module global — so pool workers (forked or spawned)
@@ -305,12 +311,6 @@ class ResponseOperator:
         x[0] = 1.0
         x[1:] = p
         return self.arr @ x
-
-    def die_fields(self, t: np.ndarray) -> dict[str, np.ndarray]:
-        """Per-die (grid, grid) fields view of a temperature vector."""
-        g = self.grid
-        return {name: t[self.die_row_slice(i)].reshape(g, g)
-                for i, name in enumerate(self.die_names)}
 
     def per_die_max(self, t: np.ndarray) -> tuple[float, ...]:
         """Maximum temperature of each die, bottom first."""
@@ -548,7 +548,7 @@ class ResponseCache:
             up to tens of MB, so the bound is a real memory bound).
     """
 
-    def __init__(self, capacity: int = 8) -> None:
+    def __init__(self, capacity: int = RESPONSE_CACHE_CAPACITY) -> None:
         if capacity < 1:
             raise ThermalModelError(
                 "response cache capacity must be >= 1")
@@ -563,15 +563,6 @@ class ResponseCache:
     def capacity(self) -> int:
         """Maximum number of resident operators."""
         return self._capacity
-
-    def set_capacity(self, capacity: int) -> None:
-        """Change the bound, evicting LRU entries if now over it."""
-        if capacity < 1:
-            raise ThermalModelError(
-                "response cache capacity must be >= 1")
-        with self._lock:
-            self._capacity = capacity
-            self._evict_over_capacity()
 
     @staticmethod
     def store() -> ResponseStore | None:
@@ -636,8 +627,7 @@ def response_cache() -> ResponseCache:
     return _RESPONSE_CACHE
 
 
-def configure(store_dir: str | os.PathLike | None = None, *,
-              capacity: int | None = None) -> None:
+def configure(store_dir: str | os.PathLike | None = None) -> None:
     """Point the operator store at a directory (None unsets it).
 
     The directory lands in :data:`STORE_DIR_ENV`, so worker processes
@@ -649,5 +639,3 @@ def configure(store_dir: str | os.PathLike | None = None, *,
         os.environ.pop(STORE_DIR_ENV, None)
     else:
         os.environ[STORE_DIR_ENV] = str(store_dir)
-    if capacity is not None:
-        _RESPONSE_CACHE.set_capacity(capacity)
