@@ -347,9 +347,11 @@ def bench_serve(args) -> dict:
 
     fast = {"die_grid": 8, "package_grid": 4}
     heights = range(1, max(1, args.unique // 2) + 1)
+    # threshold_c is the chip's own 80 C limit, written out so that the
+    # int-vs-float duplicate below has a float field to spell as an int
     uniques = [ExperimentSpec(chip="low-power-cmp", n_chips=n,
                               cooling=cool, package_overrides=fast,
-                              benchmarks=("ep",))
+                              benchmarks=("ep",), threshold_c=80.0)
                for n in heights for cool in ("water", "air")]
     # Round-robin mix with heavy duplication; each closed-loop client
     # walks a contiguous chunk, so the walks start at staggered offsets
@@ -398,9 +400,11 @@ def bench_serve(args) -> dict:
     wall = time.perf_counter() - t0
 
     # An int-vs-float duplicate submitted through the dict boundary
-    # must land on the same config hash — i.e. answer from the cache.
+    # (a float field written as an int; an int field written as a
+    # float is refused there) must land on the same config hash —
+    # i.e. answer from the cache.
     float_dup = dict(uniques[0].to_dict())
-    float_dup["n_chips"] = float(float_dup["n_chips"])
+    float_dup["threshold_c"] = int(float_dup["threshold_c"])
     float_hit = broker.submit(float_dup).from_cache
 
     manifest_path = Path(args.out).with_suffix(".manifest.json")

@@ -32,6 +32,7 @@ __version__ = "1.0.0"
 from .config import ExperimentResult, ExperimentSpec
 from .cooling import get_cooling
 from .core import OperatingPoint, max_frequency
+from .core.point import evaluate
 from .power import get_chip
 from .stack import StackConfig, flip_even_layers, uniform_stack
 from .stack.chipstack import flip_rotations
@@ -53,11 +54,11 @@ def quick_max_frequency(chip: str, n_chips: int, cooling: str,
         threshold_c: temperature limit override.
 
     Returns:
-        The maximum-frequency operating point.
+        The maximum-frequency operating point
+        (:func:`repro.core.point.evaluate` with no programs).
     """
-    model = model_for(chip, n_chips, cooling,
-                      flip_rotations(n_chips) if flip else ())
-    return max_frequency(model, threshold_c)
+    return evaluate(chip, n_chips, cooling, threshold_c=threshold_c,
+                    rotations=flip_rotations(n_chips) if flip else ()).point
 
 
 __all__ = [

@@ -686,7 +686,7 @@ def build_parser() -> argparse.ArgumentParser:
                         "(transient errors only)")
     p.add_argument("--allow-degraded", action="store_true",
                    help="permit analytic-model fallback when the "
-                        "sparse-LU tier fails (results tagged degraded)")
+                        "full thermal tier fails (results tagged degraded)")
     p.add_argument("--chunk-timeout", type=float, default=None,
                    metavar="SECONDS",
                    help="per-chunk wall-clock budget; an overrunning "

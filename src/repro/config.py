@@ -10,12 +10,21 @@ a plain dict for storage in result logs.
 
 from __future__ import annotations
 
+import functools
 import math
 import typing
 from dataclasses import asdict, dataclass, field, replace
 from dataclasses import fields as dataclass_fields
 
+from .cooling.options import get_cooling
 from .errors import ConfigurationError
+from .perfsim.npb import NPB_ORDER
+from .perfsim.system import config_for_stack
+from .power.processors import get_chip
+
+#: A dataclass's resolved field annotations (resolving them costs more
+#: than the rest of a parse).
+_type_hints = functools.cache(typing.get_type_hints)
 
 
 def fields_to_dict(obj) -> dict:
@@ -64,14 +73,22 @@ def fields_from_dict(cls, data: dict, what: str):
     if unknown:
         raise ConfigurationError(
             f"unknown {what} key(s): {', '.join(unknown)}")
-    hints = typing.get_type_hints(cls)
-    kwargs = {}
-    for name, value in data.items():
-        kind, *rest = typing.get_args(hints[name]) or (hints[name],)
-        if value is None and type(None) in rest:
-            continue
-        kwargs[name] = typed_value(kind, value, name, what)
+    kwargs = dict(data)
+    _type_scalars(cls, kwargs, what)
     return cls(**kwargs)
+
+
+def _type_scalars(cls, data: dict, what: str) -> None:
+    """Type in place, by :func:`typed_value`, each entry of ``data``
+    naming a scalar field of dataclass ``cls`` (``X`` or ``X | None``
+    for X in int, float, str, bool; ``null`` only for the latter);
+    leave the other entries alone."""
+    hints = _type_hints(cls)
+    for name, value in data.items():
+        kind, *rest = typing.get_args(hints.get(name)) or (hints.get(name),)
+        if (kind in (int, float, str, bool) and set(rest) <= {type(None)}
+                and not (value is None and rest)):
+            data[name] = typed_value(kind, value, name, what)
 
 
 def typed_value(kind: type, value, name: str, what: str):
@@ -119,10 +136,30 @@ class ExperimentSpec:
     label: str = ""
 
     def __post_init__(self) -> None:
+        """Refuse a spec the pipeline cannot run: unknown names, and NPB
+        times for a chip whose cores do not fit the mesh."""
         if self.n_chips < 1:
             raise ConfigurationError("n_chips must be >= 1")
         if self.threads is not None and self.threads < 1:
             raise ConfigurationError("threads must be >= 1")
+        chip = get_chip(self.chip)
+        get_cooling(self.cooling)
+        try:
+            self.package_params()
+        except TypeError as exc:
+            raise ConfigurationError(f"package_overrides: {exc}") from None
+        bad = [b for b in self.benchmarks or () if b.lower() not in NPB_ORDER]
+        if bad:
+            raise ConfigurationError(
+                f"unknown NPB program(s) {', '.join(map(repr, bad))}; "
+                f"known: {', '.join(NPB_ORDER)}")
+        if self.programs:
+            config_for_stack(chip, self.n_chips)
+
+    @property
+    def programs(self) -> tuple[str, ...]:
+        """The NPB programs to time (None = all nine)."""
+        return NPB_ORDER if self.benchmarks is None else self.benchmarks
 
     # -- construction helpers -------------------------------------------------
 
@@ -149,21 +186,39 @@ class ExperimentSpec:
                 drops unknown keys (forward-compat readers of old
                 result logs).
         """
+        from .thermal.package import PackageParams
+        what = "ExperimentSpec"
+        if not isinstance(data, dict):
+            raise ConfigurationError(
+                f"{what} must be a JSON object, got {type(data).__name__}")
         d = dict(data)
         known = {f.name for f in dataclass_fields(cls)}
         unknown = sorted(set(d) - known)
         if unknown:
             if strict:
                 raise ConfigurationError(
-                    f"unknown ExperimentSpec key(s): "
+                    f"unknown {what} key(s): "
                     f"{', '.join(repr(k) for k in unknown)} "
                     f"(known keys: {', '.join(sorted(known))})")
             for k in unknown:
                 d.pop(k)
-        if d.get("benchmarks") is not None:
-            d["benchmarks"] = tuple(d["benchmarks"])
-        if d.get("package_overrides") is not None:
-            d["package_overrides"] = dict(d["package_overrides"])
+        _type_scalars(cls, d, what)
+        benchmarks = d.get("benchmarks")
+        if benchmarks is not None:
+            if (not isinstance(benchmarks, (list, tuple))
+                    or not all(isinstance(b, str) for b in benchmarks)):
+                raise ConfigurationError(
+                    f"{what} key 'benchmarks' must be a list of NPB "
+                    f"names, got {benchmarks!r}")
+            d["benchmarks"] = tuple(benchmarks)
+        overrides = d.get("package_overrides", {})
+        if not isinstance(overrides, dict):
+            raise ConfigurationError(
+                f"{what} key 'package_overrides' must be an object, "
+                f"got {overrides!r}")
+        d["package_overrides"] = dict(overrides)
+        _type_scalars(PackageParams, d["package_overrides"],
+                      "package_overrides")
         return cls(**d)
 
     # -- pipeline pieces --------------------------------------------------------
@@ -177,54 +232,28 @@ class ExperimentSpec:
 
     # -- execution -----------------------------------------------------------------
 
-    def run(self) -> "ExperimentResult":
-        """Execute the power -> thermal -> performance pipeline.
+    def evaluate(self, resilience=None):
+        """This spec's :class:`~repro.core.point.PointOutcome` from
+        :func:`repro.core.point.evaluate` (``resilience=None``: the
+        full pipeline once, errors raised).
 
-        The thermal model comes from :func:`~repro.thermal.hotspot.
-        model_for`, the bounded model cache campaigns and the fleet
-        share, so a spec that differs from an earlier one only in
-        threshold, threads or benchmarks searches temperatures its
-        model already holds.
+        The thermal model comes from the bounded ``model_for`` cache
+        campaigns and the fleet share, so a spec that differs from an
+        earlier one only in threshold, threads or benchmarks searches
+        temperatures its model already holds.
         """
-        from .core.freqopt import max_frequency
+        from .core.point import evaluate
         from .stack.chipstack import flip_rotations
-        from .thermal.hotspot import model_for
+        return evaluate(
+            self.chip, self.n_chips, self.cooling,
+            threshold_c=self.threshold_c,
+            rotations=flip_rotations(self.n_chips) if self.flip else (),
+            params=self.package_params(), threads=self.threads,
+            programs=self.programs, resilience=resilience)
 
-        rotations = flip_rotations(self.n_chips) if self.flip else ()
-        model = model_for(self.chip, self.n_chips, self.cooling, rotations,
-                          self.package_params())
-        point = max_frequency(model, self.threshold_c)
-        return self.result_from_point(point)
-
-    def result_from_point(self, point) -> "ExperimentResult":
-        """Finish the pipeline from an already-found operating point.
-
-        The second half of :meth:`run` — NPB execution times at the
-        point's frequency — split out so alternative frequency searches
-        (the serve layer's analytic degradation rung, custom thermal
-        models) produce results through the identical code path.
-        """
-        from .perfsim.analytic import AnalyticModel
-        from .perfsim.npb import NPB_ORDER, get_profile
-        from .perfsim.system import SystemConfig
-
-        npb: dict[str, float] = {}
-        if point.feasible:
-            cfg = SystemConfig(n_chips=self.n_chips)
-            threads = (self.threads if self.threads is not None
-                       else cfg.total_cores)
-            perf = AnalyticModel(cfg, threads=threads)
-            programs = (self.benchmarks if self.benchmarks is not None
-                        else NPB_ORDER)
-            npb = {
-                name: perf.execution_time_s(get_profile(name), point.f_hz)
-                for name in programs
-            }
-        return ExperimentResult(spec=self, feasible=point.feasible,
-                                f_ghz=point.f_ghz,
-                                max_temp_c=point.max_temp_c,
-                                total_power_w=point.total_power_w,
-                                npb_time_s=npb)
+    def run(self) -> "ExperimentResult":
+        """Execute the power -> thermal -> performance pipeline."""
+        return ExperimentResult.of(self, self.evaluate())
 
 
 @dataclass(frozen=True)
@@ -237,6 +266,16 @@ class ExperimentResult:
     max_temp_c: float
     total_power_w: float
     npb_time_s: dict[str, float]
+
+    @classmethod
+    def of(cls, spec: ExperimentSpec, outcome) -> "ExperimentResult":
+        """The result of ``spec`` from its evaluated
+        :class:`~repro.core.point.PointOutcome`."""
+        point = outcome.point
+        return cls(spec=spec, feasible=point.feasible, f_ghz=point.f_ghz,
+                   max_temp_c=point.max_temp_c,
+                   total_power_w=point.total_power_w,
+                   npb_time_s=outcome.npb_time_s)
 
     def speedup_over(self, other: "ExperimentResult") -> dict[str, float]:
         """Per-benchmark T(other)/T(self) — >1 means self is faster."""

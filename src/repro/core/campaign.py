@@ -49,16 +49,18 @@ from ..obs import (
     span,
     write_manifest,
 )
+from ..perfsim.npb import NPB_ORDER
+from ..perfsim.system import config_for_stack
+from ..power.processors import get_chip
 from ..resilience import ResilienceOptions
-from ..resilience.degrade import (
-    DegradationLadder,
-    freq_point_rungs,
-    perf_model_rungs,
-)
 from ..thermal.package import DEFAULT_PACKAGE, PackageParams
 from .freqopt import OperatingPoint
+from .point import evaluate
 
-CHECKPOINT_VERSION = 1
+#: 2 since the thermal ladder's first rung is named ``full`` and NPB
+#: records no longer name a performance rung; a version-1 file is
+#: quarantined and recomputed.
+CHECKPOINT_VERSION = 2
 
 #: Statuses resume must not recompute. ``poison`` (quarantined by the
 #: supervised pool) is deliberately absent: a poisoned point is
@@ -192,7 +194,14 @@ def frequency_grid(chip: str, chips: tuple[int, ...],
 def npb_grid(chip: str, chips: tuple[int, ...],
              coolings: tuple[str, ...], *,
              threads: int | None = None) -> tuple[CampaignPoint, ...]:
-    """The Figs. 10-13 grid: NPB times at every (height, cooling)."""
+    """The Figs. 10-13 grid: NPB times at every (height, cooling).
+
+    Raises:
+        ConfigurationError: the chip has no NPB system at some height
+            (its cores do not fit the mesh), before any point runs.
+    """
+    for n in chips:
+        config_for_stack(get_chip(chip), n)
     return tuple(
         CampaignPoint(kind="npb", chip=chip, n_chips=n, cooling=c,
                       threads=threads)
@@ -219,7 +228,6 @@ class PointRecord:
     attempts: int = 0
     errors: tuple[str, ...] = ()
     npb_time_s: dict[str, float] = field(default_factory=dict)
-    perf_rung: str = ""
 
     @property
     def finished(self) -> bool:
@@ -367,21 +375,21 @@ def evaluate_point(point: CampaignPoint,
                    resilience: ResilienceOptions,
                    params: PackageParams = DEFAULT_PACKAGE
                    ) -> PointRecord:
-    """Evaluate one grid point through the degradation ladder.
+    """Evaluate one grid point through :func:`repro.core.point.evaluate`.
 
-    This is the default evaluator; :class:`CampaignRunner` accepts any
-    callable with this signature (tests substitute counting wrappers).
+    An ``npb`` point asks for every NPB program, a ``freq`` point for
+    none. This is the default evaluator; :class:`CampaignRunner`
+    accepts any callable with this signature (tests substitute
+    counting wrappers).
     """
-    ladder = DegradationLadder(freq_point_rungs(
+    outcome = evaluate(
         point.chip, point.n_chips, point.cooling,
         threshold_c=point.threshold_c, params=params,
-        injector=resilience.injector))
-    with span("thermal.ladder", key=point.key):
-        outcome = ladder.run(retry_policy=resilience.retry_policy,
-                             sleep=resilience.sleep,
-                             allow_degraded=resilience.allow_degraded)
-    op: OperatingPoint = outcome.value
-    record = PointRecord(
+        threads=point.threads,
+        programs=NPB_ORDER if point.kind == "npb" else (),
+        resilience=resilience)
+    op = outcome.point
+    return PointRecord(
         point=point,
         status="ok" if op.feasible else "infeasible",
         f_ghz=op.f_ghz,
@@ -392,41 +400,7 @@ def evaluate_point(point: CampaignPoint,
         degraded=outcome.degraded,
         attempts=outcome.attempts,
         errors=outcome.errors,
-    )
-    if point.kind != "npb" or not op.feasible:
-        return record
-
-    from ..perfsim.npb import NPB_ORDER, get_profile
-    from ..perfsim.system import config_for_stack
-    from ..power.processors import get_chip
-    with span("power.system_config", chip=point.chip,
-              n_chips=point.n_chips):
-        config = config_for_stack(get_chip(point.chip), point.n_chips)
-    threads = point.threads if point.threads is not None \
-        else config.total_cores
-    perf_ladder = DegradationLadder(perf_model_rungs(
-        config, threads, injector=resilience.injector))
-    with span("perf.ladder", key=point.key, threads=threads):
-        perf = perf_ladder.run(retry_policy=resilience.retry_policy,
-                               sleep=resilience.sleep,
-                               allow_degraded=resilience.allow_degraded)
-    with span("perf.npb_times", key=point.key, f_ghz=op.f_ghz):
-        times = {name: perf.value.execution_time_s(get_profile(name),
-                                                   op.f_hz)
-                 for name in NPB_ORDER}
-    return PointRecord(
-        point=point,
-        status=record.status,
-        f_ghz=record.f_ghz,
-        max_temp_c=record.max_temp_c,
-        chip_power_w=record.chip_power_w,
-        total_power_w=record.total_power_w,
-        rung=record.rung,
-        degraded=record.degraded or perf.degraded,
-        attempts=record.attempts + perf.attempts,
-        errors=record.errors + perf.errors,
-        npb_time_s=times,
-        perf_rung=perf.rung,
+        npb_time_s=outcome.npb_time_s,
     )
 
 
@@ -456,7 +430,7 @@ def _evaluate_guarded(point: CampaignPoint,
             exception=type(exc).__name__,
             message=str(exc),
             attempts=getattr(exc, "_ladder_attempts", 1),
-            rungs_tried=getattr(exc, "_ladder_rungs", ("sparse-lu",)),
+            rungs_tried=getattr(exc, "_ladder_rungs", ()),
             allow_degraded=resilience.allow_degraded,
             config_hash=config_hash,
         )

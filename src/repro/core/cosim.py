@@ -13,17 +13,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from ..cooling.options import get_cooling
-from ..errors import InfeasibleError
+from ..errors import InfeasibleError, ReproError
 from ..obs import span
-from ..perfsim.analytic import AnalyticModel
-from ..perfsim.npb import NPB_ORDER, get_profile
-from ..perfsim.system import SystemConfig, config_for_stack
+from ..perfsim.npb import NPB_ORDER
+from ..perfsim.system import config_for_stack
 from ..power.processors import get_chip
-from ..stack.chipstack import StackConfig
-from ..thermal.hotspot import ThermalModel, model_for
 from ..thermal.package import DEFAULT_PACKAGE, PackageParams
-from .freqopt import OperatingPoint, max_frequency
+from .freqopt import OperatingPoint
+from .point import evaluate
 
 if TYPE_CHECKING:  # pragma: no cover - annotations only
     from ..resilience import ResilienceOptions
@@ -35,15 +32,15 @@ class CoolingOutcome:
 
     ``rung`` / ``degraded`` / ``attempts`` record how the thermal
     operating point was obtained: which degradation-ladder rung
-    produced it (``"sparse-lu"`` on the default path, ``"analytic"``
-    when degraded, ``"failed"`` when a resilient run could not evaluate
-    the option at all) and how many solver attempts it took.
+    produced it (``"full"`` on the default path, ``"analytic"`` when
+    degraded, ``"failed"`` when a resilient run could not evaluate the
+    option at all) and how many solver attempts it took.
     """
 
     cooling: str
     point: OperatingPoint
     npb_time_s: dict[str, float]
-    rung: str = "sparse-lu"
+    rung: str = "full"
     degraded: bool = False
     attempts: int = 1
 
@@ -116,90 +113,57 @@ def run_npb_comparison(chip_name: str, n_chips: int, *,
                        ) -> NpbComparison:
     """Run the full co-simulation for one figure's configuration.
 
+    Each cooling option is one :func:`repro.core.point.evaluate` call.
     Infeasible options are included with ``feasible=False`` and empty
     time tables (the paper leaves their bars out of the figure).
 
-    With ``resilience`` given, each cooling option's thermal search
-    runs through the retry policy and degradation ladder; an option
-    that fails outright becomes an infeasible outcome tagged
-    ``rung="failed"`` instead of aborting the comparison.
+    With ``resilience`` given, each option's thermal search runs
+    through the retry policy and degradation ladder; an option that
+    fails outright becomes an infeasible outcome tagged
+    ``rung="failed"`` instead of aborting the comparison. Without it,
+    errors raise.
 
-    The per-option thermal searches ride the superposition kernel
-    (:mod:`repro.thermal.response`) through the model's batched
-    queries, so a comparison revisiting geometries a campaign already
-    touched evaluates without any sparse solves.
+    Raises:
+        ConfigurationError: the chip has no NPB system at this height
+            (its cores do not fit the mesh), in either mode.
     """
-    with span("power.system_config", chip=chip_name, n_chips=n_chips):
-        chip = get_chip(chip_name)
-        config: SystemConfig = config_for_stack(chip, n_chips)
-        nthreads = threads if threads is not None else config.total_cores
-        perf = AnalyticModel(config, threads=nthreads)
-
+    config = config_for_stack(get_chip(chip_name), n_chips)
     outcomes = []
     for cooling in coolings:
-        if resilience is not None:
-            with span("cosim.cooling_option", cooling=cooling,
-                      resilient=True):
-                outcome = _resilient_outcome(chip_name, n_chips, cooling,
-                                             params, perf, resilience)
-            outcomes.append(outcome)
-            continue
-        with span("cosim.cooling_option", cooling=cooling):
-            with span("thermal.max_frequency", cooling=cooling):
-                model = model_for(chip_name, n_chips, cooling,
-                                  params=params)
-                point = max_frequency(model)
-            times: dict[str, float] = {}
-            if point.feasible:
-                with span("perf.npb_times", cooling=cooling,
-                          f_ghz=point.f_ghz):
-                    times = {
-                        name: perf.execution_time_s(get_profile(name),
-                                                    point.f_hz)
-                        for name in NPB_ORDER
-                    }
-        outcomes.append(CoolingOutcome(cooling=cooling, point=point,
-                                       npb_time_s=times))
+        with span("cosim.cooling_option", cooling=cooling,
+                  resilient=resilience is not None):
+            outcomes.append(_cooling_outcome(
+                chip_name, n_chips, cooling, threads, params, resilience))
     return NpbComparison(
         chip=chip_name,
         n_chips=n_chips,
-        threads=nthreads,
+        threads=threads if threads is not None else config.total_cores,
         reference=reference,
         outcomes=tuple(outcomes),
     )
 
 
-def _resilient_outcome(chip_name: str, n_chips: int, cooling: str,
-                       params: PackageParams, perf: AnalyticModel,
-                       resilience: "ResilienceOptions") -> CoolingOutcome:
-    """One cooling option through the retry + degradation machinery."""
-    from ..errors import ReproError
-    from ..resilience.degrade import DegradationLadder, freq_point_rungs
-    ladder = DegradationLadder(freq_point_rungs(
-        chip_name, n_chips, cooling, params=params,
-        injector=resilience.injector))
+def _cooling_outcome(chip_name: str, n_chips: int, cooling: str,
+                     threads: int | None, params: PackageParams,
+                     resilience: "ResilienceOptions | None"
+                     ) -> CoolingOutcome:
+    """One cooling option of a comparison; a resilient run turns a
+    failed evaluation into a ``rung="failed"`` outcome."""
     try:
-        o = ladder.run(retry_policy=resilience.retry_policy,
-                       sleep=resilience.sleep,
-                       allow_degraded=resilience.allow_degraded)
+        o = evaluate(chip_name, n_chips, cooling, params=params,
+                     threads=threads, programs=NPB_ORDER,
+                     resilience=resilience)
     except ReproError:
-        infeasible = OperatingPoint(f_hz=0.0, max_temp_c=0.0,
-                                    feasible=False, chip_power_w=0.0,
-                                    total_power_w=0.0)
-        return CoolingOutcome(cooling=cooling, point=infeasible,
+        if resilience is None:
+            raise
+        failed = OperatingPoint(f_hz=0.0, max_temp_c=0.0, feasible=False,
+                                chip_power_w=0.0, total_power_w=0.0)
+        return CoolingOutcome(cooling=cooling, point=failed,
                               npb_time_s={}, rung="failed",
                               degraded=False, attempts=0)
-    point: OperatingPoint = o.value
-    times: dict[str, float] = {}
-    if point.feasible:
-        with span("perf.npb_times", cooling=cooling, f_ghz=point.f_ghz):
-            times = {
-                name: perf.execution_time_s(get_profile(name), point.f_hz)
-                for name in NPB_ORDER
-            }
-    return CoolingOutcome(cooling=cooling, point=point, npb_time_s=times,
-                          rung=o.rung, degraded=o.degraded,
-                          attempts=o.attempts)
+    return CoolingOutcome(cooling=cooling, point=o.point,
+                          npb_time_s=o.npb_time_s, rung=o.rung,
+                          degraded=o.degraded, attempts=o.attempts)
 
 
 def headline_summary() -> dict[str, float]:

@@ -67,15 +67,21 @@ def evaluate_designs(chip_name: str, heights: tuple[int, ...],
                      coolings: tuple[str, ...] = (
                          "air", "water_pipe", "mineral_oil", "water"),
                      ) -> tuple[DesignPoint, ...]:
-    """Evaluate every (cooling, height) pair; infeasible ones dropped."""
+    """Evaluate every (cooling, height) pair; infeasible ones dropped.
+
+    Throughput counts the cores of the chip's own system
+    (:func:`~repro.perfsim.system.config_for_stack`), so a chip whose
+    cores do not fit the mesh is refused before any thermal work.
+    """
     from ..perfsim.analytic import AnalyticModel
     from ..perfsim.npb import NPB_ORDER, get_profile
-    from ..perfsim.system import SystemConfig
-    from ..thermal.hotspot import model_for
-    from .freqopt import max_frequency
+    from ..perfsim.system import config_for_stack
+    from ..power.processors import get_chip
+    from .point import evaluate
 
     if not heights:
         raise ConfigurationError("need at least one stack height")
+    configs = {n: config_for_stack(get_chip(chip_name), n) for n in heights}
     out: list[DesignPoint] = []
     for cooling in coolings:
         if cooling not in _FACILITY_OF:
@@ -83,10 +89,10 @@ def evaluate_designs(chip_name: str, heights: tuple[int, ...],
                 f"no facility model for cooling {cooling!r}"
             )
         for n in heights:
-            point = max_frequency(model_for(chip_name, n, cooling))
+            point = evaluate(chip_name, n, cooling).point
             if not point.feasible:
                 continue
-            cfg = SystemConfig(n_chips=n)
+            cfg = configs[n]
             perf = AnalyticModel(cfg)
             rates = [
                 1.0 / perf.breakdown(get_profile(name),

@@ -20,9 +20,9 @@ from ..obs import span
 from ..power.processors import get_chip
 from ..stack.chipstack import StackConfig, flip_even_layers
 from ..thermal.coolants import custom_coolant
-from ..thermal.hotspot import ThermalModel, model_for
+from ..thermal.hotspot import ThermalModel
 from ..thermal.package import DEFAULT_PACKAGE, PackageParams
-from .freqopt import OperatingPoint, max_frequency
+from .point import evaluate
 
 if TYPE_CHECKING:  # pragma: no cover - annotations only
     from ..resilience import ResilienceOptions
@@ -78,7 +78,8 @@ class FrequencySeries:
 
 
 def _freq_point_task(payload, item) -> float:
-    """Pool task: one (cooling, n_chips) max-frequency point.
+    """Pool task: one (cooling, n_chips) max-frequency point, evaluated
+    by :func:`repro.core.point.evaluate` with no programs.
 
     Module-level for pickling; workers inherit nothing but the payload,
     so each process grows its own :class:`~repro.thermal.hotspot.
@@ -90,9 +91,8 @@ def _freq_point_task(payload, item) -> float:
     """
     chip_name, threshold_c, params = payload
     cooling, n = item
-    with span("thermal.max_frequency", cooling=cooling, n_chips=n):
-        model = model_for(chip_name, n, cooling, params=params)
-        p = max_frequency(model, threshold_c)
+    p = evaluate(chip_name, n, cooling, threshold_c=threshold_c,
+                 params=params).point
     return p.f_ghz if p.feasible else 0.0
 
 
@@ -108,7 +108,7 @@ def frequency_vs_chips(chip_name: str, chips: tuple[int, ...],
     With ``resilience`` given, the grid runs as a
     :class:`~repro.core.campaign.CampaignRunner` campaign: every point
     is evaluated through the retry policy and degradation ladder, a
-    point whose sparse-LU solve fails can fall back to the analytic
+    point whose full thermal rung fails can fall back to the analytic
     thermal model (when ``allow_degraded``), and a point that fails
     outright becomes a 0.0 GHz entry tagged ``"failed"`` instead of
     aborting the sweep.

@@ -188,9 +188,10 @@ class DeadlineExceededError(ServeError):
 class DegradedResultWarning(Warning):
     """A result was produced by a degraded model rung.
 
-    Emitted by the degradation ladder when the full-fidelity tier
-    (sparse-LU thermal network, flit-level NoC) failed and a
-    lower-fidelity analytic tier supplied the value. The result carries
+    Emitted by the degradation ladder when the full-fidelity thermal
+    tier (the grid network, rung ``full``) failed and the closed-form
+    analytic stack model (rung ``analytic``) supplied the value. The
+    result carries
     ``degraded=True`` provenance; this warning makes the substitution
     visible to interactive users as well.
     """

@@ -26,7 +26,6 @@ from ..errors import SimulationError
 from .cache import CacheHierarchyTiming, DEFAULT_HIERARCHY
 from .memory import DEFAULT_DRAM, DramParams
 from .noc.network import expected_noc_cycles
-from .noc.router import DEFAULT_ROUTER, RouterParams
 from .noc.topology import MeshTopology
 from .npb import get_profile
 from .system import SystemConfig
@@ -85,27 +84,23 @@ class AnalyticModel:
             deeper stacks have longer average NoC paths).
         threads: thread count (enters through the imbalance factor:
             the expected maximum of N unit-mean log-normals).
-        noc2_cycles / noc3_cycles: per-transaction NoC cycle overrides.
-            The degradation ladder's flit-level rung supplies latencies
-            measured on the wormhole microsimulator here; by default
-            both come from the packet formula
-            (:func:`~repro.perfsim.noc.network.expected_noc_cycles`).
+
+    Per-transaction NoC cycles come from the packet formula
+    (:func:`~repro.perfsim.noc.network.expected_noc_cycles`), which
+    equals the flit-level reference on the configuration's router
+    (pinned in the NoC test suite).
     """
 
     def __init__(self, config: SystemConfig, *,
-                 threads: int | None = None,
-                 noc2_cycles: float | None = None,
-                 noc3_cycles: float | None = None) -> None:
+                 threads: int | None = None) -> None:
         self.config = config
         self.threads = threads if threads is not None else config.total_cores
         if self.threads < 1:
             raise SimulationError("need at least one thread")
         topo = MeshTopology(config.mesh_width, config.mesh_height,
                             config.n_chips)
-        self._noc2 = (float(noc2_cycles) if noc2_cycles is not None
-                      else expected_noc_cycles(topo, config.router, legs=2))
-        self._noc3 = (float(noc3_cycles) if noc3_cycles is not None
-                      else expected_noc_cycles(topo, config.router, legs=3))
+        self._noc2 = expected_noc_cycles(topo, config.router, legs=2)
+        self._noc3 = expected_noc_cycles(topo, config.router, legs=3)
         self._hier: CacheHierarchyTiming = config.hierarchy
         self._dram: DramParams = config.dram
 

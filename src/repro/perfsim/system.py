@@ -57,8 +57,14 @@ class SystemConfig:
 
 
 def config_for_stack(chip: ChipSpec, n_chips: int) -> SystemConfig:
-    """Build the simulator configuration for a stack of Table 1 chips."""
-    return SystemConfig(n_chips=n_chips, cores_per_chip=chip.num_cores)
+    """Build the simulator configuration for a stack of ``chip``; a
+    :class:`ConfigurationError` naming the chip when it has none (the
+    72-core Xeon Phi does not fit the Table 1 mesh)."""
+    try:
+        return SystemConfig(n_chips=n_chips, cores_per_chip=chip.num_cores)
+    except ConfigurationError as exc:
+        raise ConfigurationError(
+            f"chip {chip.name!r} has no NPB system: {exc}") from None
 
 
 class CmpSystem:

@@ -27,12 +27,16 @@ temperature coefficient.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from scipy.optimize import brentq
 
 from ..errors import VFSRangeError
 from .technology import Technology
+
+#: ``(curve, frequency)`` pairs whose supply voltage is kept.
+VOLTAGE_MEMO_SIZE = 1024
 
 
 @dataclass(frozen=True)
@@ -62,8 +66,13 @@ class VFSCurve:
             )
         return self.f_max_hz * self._shape(v) / self._shape(t.vdd_max_v)
 
+    @lru_cache(maxsize=VOLTAGE_MEMO_SIZE)
     def voltage_for(self, f_hz: float) -> float:
         """Lowest supply voltage (V) that sustains frequency ``f_hz``.
+
+        Memoized per (curve, frequency), errors excepted: every
+        answer's chip and stack power asks for the voltage of the same
+        few ladder steps.
 
         Raises:
             VFSRangeError: if the frequency demands a voltage outside

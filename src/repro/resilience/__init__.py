@@ -11,10 +11,9 @@ completed work. This package provides the three independent pieces:
 * :mod:`repro.resilience.retry` — bounded-attempt retry with
   exponential backoff, deterministic jitter, and per-exception-class
   classification over the :class:`repro.errors.ReproError` hierarchy;
-* :mod:`repro.resilience.degrade` — graceful-degradation ladders that
-  fall from the sparse-LU grid thermal model to the closed-form
-  analytic model, and from the flit-level NoC reference to the packet
-  formula, recording which rung produced each result.
+* :mod:`repro.resilience.degrade` — the graceful-degradation ladder
+  that falls from the grid thermal model to the closed-form analytic
+  model, recording which rung produced each result.
 
 :class:`ResilienceOptions` bundles the three for the sweep / cosim
 entry points and the campaign runner (:mod:`repro.core.campaign`).

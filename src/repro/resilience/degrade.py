@@ -8,18 +8,15 @@ errors propagate, and the outcome records which rung produced the
 value, whether it is degraded, and every error absorbed on the way
 down.
 
-Two concrete ladders cover the pipeline's expensive tiers:
-
-* :func:`freq_point_rungs` — the grid
-  :class:`~repro.thermal.hotspot.ThermalModel`, answering through its
-  structured response operator (:mod:`repro.thermal.response`),
-  falling back to the closed-form
-  :class:`~repro.thermal.analytic.AnalyticStackModel`. The first rung
-  keeps its historical name ``sparse-lu``: checkpoints and ledgers
-  record it in ``rungs_tried``;
-* :func:`perf_model_rungs` — flit-level-measured NoC latencies
-  (:func:`noc_cycles_flitlevel`) falling back to the packet-formula
-  analytic tier (:mod:`repro.perfsim.analytic`).
+One concrete ladder covers the pipeline's expensive tier:
+:func:`freq_point_rungs` — the grid
+:class:`~repro.thermal.hotspot.ThermalModel` (rung ``full``), answering
+through its structured response operator
+(:mod:`repro.thermal.response`), falling back to the closed-form
+:class:`~repro.thermal.analytic.AnalyticStackModel` (rung
+``analytic``). Checkpoints, ledgers and served answers record the rung
+names. Every (chip, h, cooling) point runs it through
+:func:`repro.core.point.evaluate`.
 """
 
 from __future__ import annotations
@@ -28,8 +25,14 @@ import warnings
 from dataclasses import dataclass
 from typing import Any, Callable, Sequence
 
+from ..cooling.options import get_cooling
 from ..errors import ConfigurationError, DegradedResultWarning
 from ..obs import counter, gauge, log_event, span
+from ..power.processors import get_chip
+from ..stack.chipstack import StackConfig
+from ..thermal.analytic import AnalyticStackModel
+from ..thermal.hotspot import model_for
+from ..thermal.package import DEFAULT_PACKAGE
 from .faults import FaultInjector, FaultyThermalModel, drop_vfs_steps
 from .retry import RetryPolicy, classify_error, with_retry
 
@@ -153,7 +156,7 @@ def freq_point_rungs(chip: str, n_chips: int, cooling: str, *,
                      ) -> tuple[Rung, ...]:
     """The thermal ladder for one max-frequency point.
 
-    Rung 0 (``sparse-lu``) answers through :func:`~repro.thermal.
+    Rung 0 (``full``) answers through :func:`~repro.thermal.
     hotspot.model_for`: the model is fetched from the process-wide
     bounded :class:`~repro.thermal.hotspot.ModelCache` keyed on (chip,
     stack, rotations, cooling, package), so repeated visits to one
@@ -165,15 +168,9 @@ def freq_point_rungs(chip: str, n_chips: int, cooling: str, *,
     from the closed-form
     :class:`~repro.thermal.analytic.AnalyticStackModel`.
     """
-    from ..cooling.options import get_cooling
-    from ..power.processors import get_chip
-    from ..stack.chipstack import StackConfig
-    from ..thermal.analytic import AnalyticStackModel
-    from ..thermal.hotspot import model_for
-    from ..thermal.package import DEFAULT_PACKAGE
     pkg = params if params is not None else DEFAULT_PACKAGE
 
-    def sparse_lu():
+    def full():
         model = model_for(chip, n_chips, cooling,
                           rotations=rotations, params=pkg)
         if injector is not None and injector.enabled:
@@ -187,70 +184,5 @@ def freq_point_rungs(chip: str, n_chips: int, cooling: str, *,
         model = AnalyticStackModel(stack, get_cooling(cooling), pkg)
         return max_frequency(model, threshold_c)
 
-    return (("sparse-lu", sparse_lu), ("analytic", analytic))
+    return (("full", full), ("analytic", analytic))
 
-
-# -- performance (NoC) ladder ----------------------------------------------
-
-def noc_cycles_flitlevel(topo, router=None, *, legs: int = 2,
-                         injector: FaultInjector | None = None) -> float:
-    """Expected coherence-transaction cycles, flit-level reference.
-
-    Measures each packet class's single-hop latency on the flit-level
-    wormhole model (:func:`repro.perfsim.noc.flitlevel.
-    zero_load_flit_latency`) and extends it over the mean hop distance
-    with head-flit pipelining — the reference the packet formula
-    (:func:`repro.perfsim.noc.network.expected_noc_cycles`)
-    approximates. A ``noc_stall`` fault simulates the microsimulator
-    failing to drain.
-    """
-    from ..errors import SimulationError
-    from ..perfsim.noc.flitlevel import zero_load_flit_latency
-    from ..perfsim.noc.network import MeshNetwork
-    from ..perfsim.noc.router import DEFAULT_ROUTER
-    params = router if router is not None else DEFAULT_ROUTER
-    if legs not in (2, 3):
-        raise SimulationError(
-            f"coherence transactions have 2 or 3 legs, got {legs}")
-    if injector is not None:
-        spec = injector.draw("noc")
-        if spec is not None and spec.kind == "noc_stall":
-            raise SimulationError(
-                "fault injection: flit link did not drain")
-    h = max(1, round(MeshNetwork(topo, params).mean_hop_distance()))
-    per_hop_head = params.pipeline_stages + params.link_cycles
-    control = (zero_load_flit_latency(params.control_flits, params)
-               + (h - 1) * per_hop_head)
-    data = (zero_load_flit_latency(params.data_flits, params)
-            + (h - 1) * per_hop_head)
-    if legs == 2:
-        return float(control + data)
-    return float(2 * control + data)
-
-
-def perf_model_rungs(config, threads: int | None = None, *,
-                     injector: FaultInjector | None = None
-                     ) -> tuple[Rung, ...]:
-    """The performance ladder for one system configuration.
-
-    Rung 0 (``flit-noc``) feeds flit-level-measured NoC latencies into
-    the analytic execution-time model; rung 1 (``analytic``) is the
-    plain packet-formula tier.
-    """
-    from ..perfsim.analytic import AnalyticModel
-    from ..perfsim.noc.topology import MeshTopology
-
-    def flit_noc():
-        topo = MeshTopology(config.mesh_width, config.mesh_height,
-                            config.n_chips)
-        n2 = noc_cycles_flitlevel(topo, config.router, legs=2,
-                                  injector=injector)
-        n3 = noc_cycles_flitlevel(topo, config.router, legs=3,
-                                  injector=injector)
-        return AnalyticModel(config, threads=threads,
-                             noc2_cycles=n2, noc3_cycles=n3)
-
-    def analytic():
-        return AnalyticModel(config, threads=threads)
-
-    return (("flit-noc", flit_noc), ("analytic", analytic))

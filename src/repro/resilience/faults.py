@@ -41,7 +41,6 @@ FAULT_KINDS: dict[str, str] = {
     "inf_power": "power",
     "drop_vfs": "vfs",
     "timeout": "thermal",
-    "noc_stall": "noc",
     "worker_kill": "process",
     "worker_hang": "process",
     "slow_heartbeat": "process",

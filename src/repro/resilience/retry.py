@@ -143,7 +143,7 @@ def with_retry(fn: Callable[[], Any], *,
     if policy is None:
         policy = RetryPolicy()
     do_sleep = time.sleep if sleep is None else sleep
-    schedule = policy.delays_s()
+    schedule: tuple[float, ...] = ()    # drawn at the first retry
     applied: list[float] = []
     errors: list[str] = []
     for attempt in range(1, policy.max_attempts + 1):
@@ -156,6 +156,7 @@ def with_retry(fn: Callable[[], Any], *,
             log_event("retry", attempt=attempt,
                       error=type(exc).__name__, message=str(exc))
             errors.append(f"{type(exc).__name__}: {exc}")
+            schedule = schedule or policy.delays_s()
             delay = schedule[attempt - 1]
             if delay > 0:
                 do_sleep(delay)

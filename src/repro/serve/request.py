@@ -10,8 +10,10 @@ stream_progress` streams.
 The hash reuses the manifest hashing from :mod:`repro.obs.manifest`
 (SHA-256 over canonical JSON) after numeric normalization, so two
 ways of writing the *same* experiment — permuted key order,
-``"n_chips": 6`` vs ``6.0`` — key the same cache entry and coalesce
-onto the same computation.
+``"threshold_c": 80`` vs ``80.0`` — key the same cache entry and
+coalesce onto the same computation. (An int field written as a float,
+``"n_chips": 6.0``, is refused by :meth:`ExperimentSpec.from_dict`
+before it is hashed.)
 """
 
 from __future__ import annotations

@@ -1,14 +1,15 @@
 """Resilient evaluation of one served experiment request.
 
 The broker never calls :meth:`ExperimentSpec.run` directly: requests
-go through :func:`run_spec_resilient`, which wraps the full-fidelity
-pipeline in the same retry / degradation machinery campaigns use
-(:mod:`repro.resilience`), so a transient solver fault retries and a
-model-tier fault falls to the analytic rung instead of killing the
-server. Degradation provenance travels on the :class:`SpecOutcome`
-(rung, degraded, attempts), *not* on the result object — the happy
-path returns exactly what a direct ``spec.run()`` returns, which is
-what keeps served results byte-identical to the underlying API.
+go through :func:`run_spec_resilient`, which evaluates the spec's point
+(:func:`repro.core.point.evaluate`, the one body campaigns and
+``spec.run()`` use too) under the serving retry / degradation options,
+so a transient solver fault retries and a model-tier fault falls to
+the analytic rung instead of killing the server. Degradation
+provenance travels on the :class:`SpecOutcome` (rung, degraded,
+attempts), *not* on the result object — the happy path returns exactly
+what a direct ``spec.run()`` returns, which is what keeps served
+results byte-identical to the underlying API.
 
 :func:`pool_task` is the module-level (picklable) task the broker's
 process mode runs on its :class:`~repro.parallel.SupervisedPool`.
@@ -57,30 +58,6 @@ class SpecOutcome:
     errors: tuple[str, ...] = ()
 
 
-def _spec_rungs(spec: ExperimentSpec):
-    """The degradation ladder for one spec: full pipeline, then the
-    closed-form analytic stack model feeding the same NPB step."""
-    from ..cooling.options import get_cooling
-    from ..core.freqopt import max_frequency
-    from ..power.processors import get_chip
-    from ..stack.chipstack import StackConfig, flip_even_layers
-    from ..thermal.analytic import AnalyticStackModel
-
-    def full() -> ExperimentResult:
-        return spec.run()
-
-    def analytic() -> ExperimentResult:
-        chip = get_chip(spec.chip)
-        stack = (flip_even_layers(chip, spec.n_chips) if spec.flip
-                 else StackConfig(chip=chip, n_chips=spec.n_chips))
-        model = AnalyticStackModel(stack, get_cooling(spec.cooling),
-                                   spec.package_params())
-        point = max_frequency(model, spec.threshold_c)
-        return spec.result_from_point(point)
-
-    return (("full", full), ("analytic", analytic))
-
-
 def run_spec_resilient(spec: ExperimentSpec,
                        options: ResilienceOptions | None = None
                        ) -> SpecOutcome:
@@ -88,23 +65,19 @@ def run_spec_resilient(spec: ExperimentSpec,
 
     Args:
         spec: the experiment.
-        options: retry policy / degradation switch (None = defaults:
-            retry transients, no degradation). Fault injectors are a
-            campaign-evaluator feature and are ignored here — serve
-            tests inject faults through a custom broker runner instead.
+        options: retry policy / degradation switch / fault injector
+            (None = defaults: retry transients, no degradation).
     """
     opts = options if options is not None else ResilienceOptions()
-    ladder = DegradationLadder(_spec_rungs(spec))
     with span("serve.evaluate", chip=spec.chip, n_chips=spec.n_chips,
               cooling=spec.cooling):
         with warnings.catch_warnings():
             # Provenance is returned structurally; the warning would
             # land in a dispatcher thread no client observes.
             warnings.simplefilter("ignore", DegradedResultWarning)
-            outcome = ladder.run(retry_policy=opts.retry_policy,
-                                 sleep=opts.sleep,
-                                 allow_degraded=opts.allow_degraded)
-    return SpecOutcome(result=outcome.value, rung=outcome.rung,
+            outcome = spec.evaluate(opts)
+    return SpecOutcome(result=ExperimentResult.of(spec, outcome),
+                       rung=outcome.rung,
                        degraded=outcome.degraded,
                        attempts=outcome.attempts,
                        errors=outcome.errors)

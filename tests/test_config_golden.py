@@ -18,8 +18,9 @@ from repro.config import ExperimentSpec
 from repro.errors import ConfigurationError
 from repro.perfsim.noc.network import expected_noc_cycles
 from repro.perfsim.noc.topology import MeshTopology
+from repro.resilience import FaultInjector, FaultSpec, ResilienceOptions
 from repro.serve.client import result_to_dict
-from repro.serve.runner import _spec_rungs
+from repro.serve.runner import run_spec_resilient
 from repro.units import ghz
 
 
@@ -166,10 +167,13 @@ def _result_digest(result) -> str:
 
 def _analytic_rung_result(spec: ExperimentSpec):
     """What serve's second rung (closed-form stack model, then the
-    same NPB step) answers for ``spec``."""
-    (_, _), (name, analytic) = _spec_rungs(spec)
-    assert name == "analytic"
-    return analytic()
+    same NPB step) answers for ``spec``, its first rung faulted by a
+    seeded injector."""
+    outcome = run_spec_resilient(spec, ResilienceOptions(
+        allow_degraded=True, sleep=lambda s: None,
+        injector=FaultInjector((FaultSpec("singular"),), seed=0)))
+    assert outcome.rung == "analytic"
+    return outcome.result
 
 
 def _noc_digest() -> str:

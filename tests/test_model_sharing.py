@@ -25,11 +25,14 @@ from dataclasses import replace
 
 import pytest
 
-from repro.config import ExperimentSpec
+from repro.config import ExperimentResult, ExperimentSpec
 from repro.cooling.options import get_cooling
 from repro.core.campaign import CampaignRunner, frequency_grid
 from repro.core.freqopt import max_frequency
 from repro.obs import get_registry
+from repro.perfsim.analytic import AnalyticModel
+from repro.perfsim.npb import get_profile
+from repro.perfsim.system import config_for_stack
 from repro.power.processors import get_chip
 from repro.serve.client import result_to_json
 from repro.stack.chipstack import StackConfig, flip_even_layers
@@ -65,9 +68,20 @@ def _new_model(spec: ExperimentSpec) -> ThermalModel:
 
 
 def _reference(spec: ExperimentSpec) -> str:
-    """``spec``'s answer from a new model, as served bytes."""
+    """``spec``'s answer from a new model, as served bytes: the search,
+    then the NPB step on the chip's own system."""
     point = max_frequency(_new_model(spec), spec.threshold_c)
-    return result_to_json(spec.result_from_point(point))
+    npb = {}
+    if point.feasible:
+        perf = AnalyticModel(config_for_stack(get_chip(spec.chip),
+                                              spec.n_chips),
+                             threads=spec.threads)
+        npb = {name: perf.execution_time_s(get_profile(name), point.f_hz)
+               for name in spec.programs}
+    return result_to_json(ExperimentResult(
+        spec=spec, feasible=point.feasible, f_ghz=point.f_ghz,
+        max_temp_c=point.max_temp_c, total_power_w=point.total_power_w,
+        npb_time_s=npb))
 
 
 def _ladder(spec: ExperimentSpec) -> list[float]:

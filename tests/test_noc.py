@@ -17,6 +17,7 @@ from repro.perfsim.noc import (
     vc_for_class,
     xy_route,
 )
+from repro.perfsim.noc.flitlevel import zero_load_flit_latency
 from repro.perfsim.noc.routing import links_of
 
 
@@ -236,3 +237,63 @@ class TestMeshNetwork:
         short = expected_noc_cycles(MeshTopology(4, 4, 1), legs=2)
         tall = expected_noc_cycles(MeshTopology(4, 4, 8), legs=2)
         assert tall > short
+
+
+# -- the flit-level reference for the packet formula -------------------------
+
+#: Every topology the analytic tier can meet in a figure: w, h in 1..6
+#: and 1..16 tiers.
+_GRID = [(w, h, c) for w in range(1, 7) for h in range(1, 7)
+         for c in range(1, 17)]
+
+
+def _flit_transaction_cycles(topo: MeshTopology, router: RouterParams,
+                             legs: int, single_hop: dict) -> float:
+    """A coherence transaction's cycles built on the flit-level model:
+    each packet class's single-hop latency measured on the wormhole
+    link (:func:`zero_load_flit_latency`), extended over the mean hop
+    distance with head-flit pipelining. ``single_hop`` memoizes the
+    measurement per packet size."""
+    for flits in (router.control_flits, router.data_flits):
+        if flits not in single_hop:
+            single_hop[flits] = zero_load_flit_latency(flits, router)
+    hops = max(1, round(MeshNetwork(topo, router).mean_hop_distance()))
+    per_hop_head = router.pipeline_stages + router.link_cycles
+    control = single_hop[router.control_flits] + (hops - 1) * per_hop_head
+    data = single_hop[router.data_flits] + (hops - 1) * per_hop_head
+    return float(control + data if legs == 2 else 2 * control + data)
+
+
+def _mismatches(router: RouterParams) -> list[tuple]:
+    single_hop: dict[int, int] = {}
+    return [(w, h, c, legs) for w, h, c in _GRID for legs in (2, 3)
+            if expected_noc_cycles(MeshTopology(w, h, c), router, legs=legs)
+            != _flit_transaction_cycles(MeshTopology(w, h, c), router,
+                                        legs, single_hop)]
+
+
+class TestFlitReference:
+    """``expected_noc_cycles`` — the analytic tier's NoC term — equals
+    the transaction built on the flit-level model, exactly, so the
+    analytic tier needs no flit-level rung."""
+
+    @pytest.mark.parametrize("router", [
+        DEFAULT_ROUTER,
+        RouterParams(pipeline_stages=5),
+        RouterParams(control_flits=2),
+        RouterParams(data_flits=8),
+        RouterParams(num_vcs=1),
+        RouterParams(vc_buffer_flits=8),
+    ], ids=["default", "pipeline_stages", "control_flits", "data_flits",
+            "num_vcs", "vc_buffer_flits"])
+    def test_packet_formula_equals_the_flit_reference(self, router):
+        assert _mismatches(router) == []
+
+    def test_link_cycles_is_left_out(self):
+        """``link_cycles`` is not covered: ``FlitLink`` charges no link
+        cycle on its single hop, so at ``link_cycles=1`` the reference
+        runs one cycle short on every configuration. The system
+        configuration always uses ``DEFAULT_ROUTER`` (``link_cycles=0``)
+        and no caller sets the field."""
+        assert len(_mismatches(RouterParams(link_cycles=1))) \
+            == 2 * len(_GRID)

@@ -318,7 +318,7 @@ class TestMaxFrequencyReference:
                 out = DegradationLadder(freq_point_rungs(
                     chip, n, cooling, params=fast_params,
                     injector=FaultInjector((spec,), seed=seed))).run()
-                assert out.rung == "sparse-lu"
+                assert out.rung == "full"
                 assert out.value.feasible == (best is not None)
                 assert out.value.f_hz == (sub[best] if best is not None
                                           else 0.0)
@@ -402,7 +402,7 @@ class TestBatchedSweeps:
                     params=fast_params, resilience=res, workers=workers))
         assert runs[0] == runs[1]
         rungs = [r for series in runs[0] for r in series.rungs]
-        assert "analytic" in rungs and "sparse-lu" in rungs
+        assert "analytic" in rungs and "full" in rungs
 
 
 # -- campaign determinism across worker counts -------------------------------

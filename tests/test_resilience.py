@@ -23,12 +23,7 @@ from repro.errors import (
 )
 from repro.power.processors import get_chip
 from repro.resilience import ResilienceOptions
-from repro.resilience.degrade import (
-    DegradationLadder,
-    freq_point_rungs,
-    noc_cycles_flitlevel,
-    perf_model_rungs,
-)
+from repro.resilience.degrade import DegradationLadder, freq_point_rungs
 from repro.resilience.faults import (
     FAULT_KINDS,
     FaultInjector,
@@ -69,7 +64,6 @@ class TestFaultSpec:
         assert FaultSpec("singular").site == "thermal"
         assert FaultSpec("nan_power").site == "power"
         assert FaultSpec("drop_vfs").site == "vfs"
-        assert FaultSpec("noc_stall").site == "noc"
 
     def test_parse_forms(self):
         assert FaultSpec.parse("singular") == FaultSpec("singular")
@@ -456,14 +450,14 @@ class TestAnalyticStackModel:
         assert m.meets_threshold(1.0e9) in (True, False)
 
 
-# -- thermal and performance ladders ----------------------------------------
+# -- thermal ladder ----------------------------------------------------------
 
 class TestFreqPointRungs:
     def test_rung_names(self, fast_params):
         rungs = freq_point_rungs("low-power-cmp", 2, "water",
                                  params=fast_params)
         assert tuple(name for name, _ in rungs) == (
-            "sparse-lu", "analytic")
+            "full", "analytic")
 
     def test_singular_falls_to_analytic(self, fast_params):
         inj = FaultInjector((FaultSpec("singular"),), seed=0)
@@ -489,43 +483,7 @@ class TestFreqPointRungs:
         # only be at or below the clean maximum.
         assert out.value.feasible
         assert out.value.f_ghz <= clean.value.f_ghz + 1e-9
-        assert out.rung == "sparse-lu"
-
-
-class TestPerfLadder:
-    def config(self, n=2):
-        from repro.perfsim.system import config_for_stack
-        return config_for_stack(get_chip("low-power-cmp"), n)
-
-    def test_flit_noc_close_to_analytic(self):
-        from repro.perfsim.noc.topology import MeshTopology
-        cfg = self.config()
-        topo = MeshTopology(cfg.mesh_width, cfg.mesh_height, cfg.n_chips)
-        n2 = noc_cycles_flitlevel(topo, cfg.router, legs=2)
-        n3 = noc_cycles_flitlevel(topo, cfg.router, legs=3)
-        assert 0 < n2 < n3
-
-    def test_bad_legs_rejected(self):
-        from repro.perfsim.noc.topology import MeshTopology
-        cfg = self.config()
-        topo = MeshTopology(cfg.mesh_width, cfg.mesh_height, cfg.n_chips)
-        with pytest.raises(SimulationError):
-            noc_cycles_flitlevel(topo, cfg.router, legs=4)
-
-    def test_noc_stall_falls_to_analytic(self):
-        inj = FaultInjector((FaultSpec("noc_stall"),), seed=0)
-        ladder = DegradationLadder(perf_model_rungs(
-            self.config(), injector=inj))
-        with pytest.warns(DegradedResultWarning):
-            out = ladder.run(sleep=lambda s: None)
-        assert out.rung == "analytic"
-        assert out.degraded
-
-    def test_clean_uses_flit_noc(self):
-        out = DegradationLadder(perf_model_rungs(
-            self.config())).run(sleep=lambda s: None)
-        assert out.rung == "flit-noc"
-        assert not out.degraded
+        assert out.rung == "full"
 
 
 class TestResilienceOptions:

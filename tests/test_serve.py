@@ -29,10 +29,14 @@ from repro.errors import (
     OverloadedError,
     ServeError,
     ThermalModelError,
-    TransientSolverError,
 )
 from repro.obs import counter, histogram, validate_manifest
-from repro.resilience import ResilienceOptions, RetryPolicy
+from repro.resilience import (
+    FaultInjector,
+    FaultSpec,
+    ResilienceOptions,
+    RetryPolicy,
+)
 from repro.serve import (
     Broker,
     BrokerConfig,
@@ -454,49 +458,36 @@ class TestServedResults:
 
 # -- resilience wiring ------------------------------------------------------
 
+def _faulted(*specs: FaultSpec, **options) -> ResilienceOptions:
+    """Resilience options whose seeded injector faults the full rung."""
+    return ResilienceOptions(injector=FaultInjector(specs, seed=0),
+                             sleep=lambda s: None, **options)
+
+
 class TestResilientRunner:
-    def test_transient_errors_retry(self, monkeypatch):
+    def test_transient_errors_retry(self):
         spec = fast_spec()
         direct = spec.run()
-        attempts = []
-
-        real_run = ExperimentSpec.run
-
-        def flaky(self):
-            attempts.append(1)
-            if len(attempts) < 3:
-                raise TransientSolverError("blip")
-            return real_run(self)
-
-        monkeypatch.setattr(ExperimentSpec, "run", flaky)
-        outcome = run_spec_resilient(spec, ResilienceOptions(
-            retry_policy=RetryPolicy(max_attempts=3, seed=1),
-            sleep=lambda s: None))
+        outcome = run_spec_resilient(spec, _faulted(
+            FaultSpec("timeout", max_fires=2),
+            retry_policy=RetryPolicy(max_attempts=3, seed=1)))
         assert outcome.attempts == 3
         assert outcome.rung == "full"
         assert not outcome.degraded
         assert result_to_json(outcome.result) == result_to_json(direct)
 
-    def test_model_fault_degrades_to_analytic(self, monkeypatch):
-        monkeypatch.setattr(
-            ExperimentSpec, "run",
-            lambda self: (_ for _ in ()).throw(
-                ThermalModelError("singular")))
-        outcome = run_spec_resilient(fast_spec(), ResilienceOptions(
-            allow_degraded=True, sleep=lambda s: None))
+    def test_model_fault_degrades_to_analytic(self):
+        outcome = run_spec_resilient(fast_spec(), _faulted(
+            FaultSpec("singular"), allow_degraded=True))
         assert outcome.rung == "analytic"
         assert outcome.degraded
         assert outcome.result.feasible
         assert outcome.result.npb_time_s  # NPB step still ran
 
-    def test_degradation_off_propagates(self, monkeypatch):
-        monkeypatch.setattr(
-            ExperimentSpec, "run",
-            lambda self: (_ for _ in ()).throw(
-                ThermalModelError("singular")))
+    def test_degradation_off_propagates(self):
         with pytest.raises(ThermalModelError):
-            run_spec_resilient(fast_spec(), ResilienceOptions(
-                allow_degraded=False, sleep=lambda s: None))
+            run_spec_resilient(fast_spec(), _faulted(
+                FaultSpec("singular"), allow_degraded=False))
 
 
 # -- process-mode evaluation ------------------------------------------------

@@ -68,7 +68,7 @@ def _sleepy(payload, item):
 def _cheap_eval(point, resilience, params):
     """Module-level campaign evaluator: no solver, deterministic."""
     return PointRecord(point=point, status="ok",
-                       f_ghz=float(point.n_chips), rung="sparse-lu",
+                       f_ghz=float(point.n_chips), rung="full",
                        attempts=1)
 
 
@@ -359,7 +359,7 @@ class TestCheckpointRecovery:
         ck = tmp_path / "c.json"
         _run(grid, ck)
         info = verify_checkpoint(ck)
-        assert info == {"version": 1, "points": len(grid),
+        assert info == {"version": 2, "points": len(grid),
                         "ledger_entries": 0, "checksum_ok": True}
         with pytest.raises(CheckpointError):
             verify_checkpoint(tmp_path / "missing.json")

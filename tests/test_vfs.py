@@ -7,7 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.power.vfs as vfs
 from repro.errors import VFSRangeError
+from repro.power.processors import chip_names, get_chip
 from repro.power.technology import TECH_22NM_HP
 from repro.power.vfs import VFSCurve, VFSLadder
 from repro.units import ghz
@@ -75,6 +77,37 @@ class TestVFSCurve:
 
     def test_alpha_is_papers_value(self):
         assert TECH_22NM_HP.alpha == 1.3
+
+
+class TestVoltageMemo:
+    """``voltage_for`` is memoized: the root find's numbers, and no
+    root find for a repeated query."""
+
+    @pytest.mark.parametrize("name", chip_names())
+    def test_memo_equals_the_root_find(self, name):
+        chip = get_chip(name)
+        ladder = [float(f) for f in chip.ladder.frequencies()]
+        off_ladder = [(lo + hi) / 2 for lo, hi in zip(ladder, ladder[1:])]
+        for f in ladder + off_ladder:
+            assert (chip.curve.voltage_for(f)
+                    == VFSCurve.voltage_for.__wrapped__(chip.curve, f)), f
+
+    def test_repeated_query_makes_no_root_find(self, monkeypatch):
+        curve = get_chip("low-power-cmp").curve
+        first = curve.voltage_for(ghz(1.55))
+
+        def no_root_find(*args, **kwargs):
+            raise AssertionError("brentq called")
+
+        monkeypatch.setattr(vfs, "brentq", no_root_find)
+        assert curve.voltage_for(ghz(1.55)) == first
+        with pytest.raises(AssertionError, match="brentq"):
+            curve.voltage_for(ghz(1.5501))
+
+    def test_errors_are_not_kept(self, curve: VFSCurve):
+        for _ in range(2):
+            with pytest.raises(VFSRangeError, match="exceeds"):
+                curve.voltage_for(ghz(4.0))
 
 
 class TestVFSLadder:
