@@ -13,17 +13,19 @@ checkpoint is byte-identical to the one-worker one once the
 (timestamped) manifest is stripped — and records the outcome in the
 JSON.
 
+Every mode starts each run from empty model and factor caches, so
+every grid pays its die and package factor builds.
+
 ``--bench response`` times the same frequency-ladder campaigns through
-the superposition kernel's power-to-temperature strategies —
+the superposition kernel's two power-to-temperature strategies —
 ``sparse_perstep`` (``REPRO_RESPONSE_DISABLE`` set, one factorized
-sparse solve per ladder step), ``response_cold`` (empty caches: one
-structured operator build per geometry, then dense matvecs), and
-``response_warm`` (a pre-populated
-on-disk operator store, the steady state of a worker fleet: mmap
-loads, no sparse solver at all). It records the warm-vs-per-step
-speedup per grid and exits nonzero unless every grid's frequency
-frontier matches the sparse baseline and the slowest grid still
-clears ``--speedup-target`` (default 5x).
+sparse solve per ladder step) and ``factored`` (one die factor per
+stack height, one package factor per point, one query per ladder
+step), each the minimum of at least three runs. It records the
+factored-vs-per-step speedup per grid and exits nonzero unless every
+grid's frequency frontier matches the sparse baseline (same step,
+within 1e-6 C) and the slowest grid still clears ``--speedup-target``
+(default 5x).
 
 ``--bench serve`` drives the :mod:`repro.serve` broker with a mixed
 concurrent batch of requests containing many duplicates (the CI smoke
@@ -103,7 +105,6 @@ from repro.core.campaign import (                    # noqa: E402
 from repro.thermal.hotspot import model_cache        # noqa: E402
 from repro.thermal.response import (                 # noqa: E402
     DISABLE_ENV,
-    STORE_DIR_ENV,
     response_cache,
 )
 
@@ -155,29 +156,19 @@ def _time_mode(points, *, workers, tmpdir,
     return best, checkpoint
 
 
-class _response_env:
-    """Scoped REPRO_RESPONSE_* environment for one benchmark mode."""
-
-    def __init__(self, *, disable: bool = False, store=None):
-        self._want = {DISABLE_ENV: "1" if disable else None,
-                      STORE_DIR_ENV: str(store) if store else None}
-        self._saved: dict[str, str | None] = {}
+class _kernel_disabled:
+    """``REPRO_RESPONSE_DISABLE`` set for the scope of one mode."""
 
     def __enter__(self):
-        for key, val in self._want.items():
-            self._saved[key] = os.environ.get(key)
-            if val is None:
-                os.environ.pop(key, None)
-            else:
-                os.environ[key] = val
+        self._saved = os.environ.get(DISABLE_ENV)
+        os.environ[DISABLE_ENV] = "1"
         return self
 
     def __exit__(self, *exc):
-        for key, val in self._saved.items():
-            if val is None:
-                os.environ.pop(key, None)
-            else:
-                os.environ[key] = val
+        if self._saved is None:
+            os.environ.pop(DISABLE_ENV, None)
+        else:
+            os.environ[DISABLE_ENV] = self._saved
         return False
 
 
@@ -185,27 +176,25 @@ def bench_grid(grid: str, chip: str, max_chips: int,
                workers_list: list[int], repeat: int) -> dict:
     """The worker-count trajectory for one figure grid.
 
-    Every mode runs against a shared warm response-operator store (one
-    untimed warmup populates it), so the worker modes measure the
-    steady state where the pool and the broker warm each other.
+    Every timed run starts from empty caches, so each mode pays the
+    grid's factor builds (in the workers, for the worker modes). One
+    untimed run first takes the process's one-time costs (imports,
+    floorplan rasterization) out of the serial mode.
     """
     points = frequency_grid(chip, tuple(range(1, max_chips + 1)),
                             PAPER_COOLS)
     modes: dict[str, float] = {}
     with tempfile.TemporaryDirectory() as tmpdir:
-        store = Path(tmpdir) / "opstore"
-        with _response_env(store=store):
-            _run_campaign(points, workers=1,
-                          tmpdir=tmpdir)       # warm the operator store
-            modes["serial_seed"], serial_cp = _time_mode(
-                points, workers=1, tmpdir=tmpdir, repeat=repeat)
-            identical = None
-            for n in workers_list:
-                modes[f"workers_{n}"], cp = _time_mode(
-                    points, workers=n, tmpdir=tmpdir, repeat=repeat)
-                if identical is None:
-                    identical = (_strip_manifest(cp)
-                                 == _strip_manifest(serial_cp))
+        _run_campaign(points, workers=1, tmpdir=tmpdir)
+        modes["serial_seed"], serial_cp = _time_mode(
+            points, workers=1, tmpdir=tmpdir, repeat=repeat)
+        identical = None
+        for n in workers_list:
+            modes[f"workers_{n}"], cp = _time_mode(
+                points, workers=n, tmpdir=tmpdir, repeat=repeat)
+            if identical is None:
+                identical = (_strip_manifest(cp)
+                             == _strip_manifest(serial_cp))
     base = modes["serial_seed"]
     return {
         "chip": chip,
@@ -228,9 +217,10 @@ def _frontier(checkpoint: Path) -> dict[str, tuple[float, float]]:
 def _frontier_matches(a: Path, b: Path, *, temp_tol: float) -> bool:
     """Same ladder frequency everywhere, temperatures within tolerance.
 
-    The sparse and dense paths are different arithmetic, so this is a
-    numeric comparison; the bitwise guarantee (cache on vs off with
-    the kernel enabled) is pinned by ``tests/test_response.py``.
+    The sparse and factored paths are different arithmetic, so this is
+    a numeric comparison; the bitwise guarantees of the factored path
+    (worker and BLAS thread counts) are pinned by
+    ``tests/test_response.py``.
     """
     fa, fb = _frontier(a), _frontier(b)
     if set(fa) != set(fb):
@@ -242,49 +232,35 @@ def _frontier_matches(a: Path, b: Path, *, temp_tol: float) -> bool:
 
 def bench_response_grid(grid: str, chip: str, max_chips: int,
                         repeat: int) -> dict:
-    """Sparse-solve vs response-operator trajectory for one grid.
+    """Sparse-solve vs factored trajectory for one grid.
 
     ``sparse_perstep`` (the speedup denominator) is the pre-kernel
     path the paper figures were first reproduced with: kernel disabled,
-    one factorized sparse solve per ladder step. The response modes
-    replace the solves with dense matvecs. The fast modes take the minimum of at least three
-    runs (a single 0.5s run is jitter-bound on shared CI); the cold
-    mode times one run — its operator builds dwarf the noise.
+    one factorized sparse solve per ladder step. ``factored`` builds
+    one die factor per stack height and one package factor per point,
+    then answers each ladder step with one query. Each mode is the
+    minimum of at least three runs, every one from empty caches (a
+    single sub-second run is jitter-bound on shared CI).
     """
     import shutil
     points = frequency_grid(chip, tuple(range(1, max_chips + 1)),
                             PAPER_COOLS)
-    repeat_fast = max(repeat, 3)
+    repeat = max(repeat, 3)
     modes: dict[str, float] = {}
     with tempfile.TemporaryDirectory() as tmpdir:
-        store = Path(tmpdir) / "opstore"
-
-        with _response_env(disable=True):
+        with _kernel_disabled():
             modes["sparse_perstep"], sparse_cp = _time_mode(
-                points, workers=1, tmpdir=tmpdir, repeat=repeat_fast)
+                points, workers=1, tmpdir=tmpdir, repeat=repeat)
             sparse_frontier = Path(tmpdir) / "sparse_frontier.json"
             shutil.copy(sparse_cp, sparse_frontier)
-
-        with _response_env(store=store):
-            # cold: an empty store, so the timing includes one
-            # structured operator build per geometry
-            shutil.rmtree(store, ignore_errors=True)
-            t0 = time.perf_counter()
-            _run_campaign(points, workers=1, tmpdir=tmpdir)
-            modes["response_cold"] = time.perf_counter() - t0
-
-            # warm: the store the cold run left behind — mmap loads
-            # and dense matvecs, no sparse solver at all
-            modes["response_warm"], warm_cp = _time_mode(
-                points, workers=1, tmpdir=tmpdir, repeat=repeat_fast)
-            matches = _frontier_matches(sparse_frontier, warm_cp,
-                                        temp_tol=1e-6)
-            operators = len(list(store.glob("*.npy")))
+        modes["factored"], factored_cp = _time_mode(
+            points, workers=1, tmpdir=tmpdir, repeat=repeat)
+        matches = _frontier_matches(sparse_frontier, factored_cp,
+                                    temp_tol=1e-6)
     base = modes["sparse_perstep"]
     return {
         "chip": chip,
         "points": len(points),
-        "operators_in_store": operators,
         "seconds": {k: round(v, 4) for k, v in modes.items()},
         "speedup_vs_sparse": (
             {k: round(base / v, 3) for k, v in modes.items()}
@@ -305,24 +281,23 @@ def run_response(args) -> int:
         out["grids"][grid] = bench_response_grid(
             grid, GRIDS[grid], args.max_chips, args.repeat)
         g = out["grids"][grid]
-        print(f"{grid} ({g['chip']}, {g['points']} points, "
-              f"{g['operators_in_store']} operators): "
+        print(f"{grid} ({g['chip']}, {g['points']} points): "
               + ", ".join(f"{k}={v:.3f}s"
                           for k, v in g["seconds"].items())
-              + f", warm speedup x"
-                f"{g['speedup_vs_sparse']['response_warm']:.1f}"
+              + f", factored speedup x"
+                f"{g['speedup_vs_sparse']['factored']:.1f}"
               + f", frontier matches sparse: "
                 f"{g['frontier_matches_sparse']}")
-    worst = min(g["speedup_vs_sparse"]["response_warm"]
+    worst = min(g["speedup_vs_sparse"]["factored"]
                 for g in out["grids"].values())
-    out["speedup_warm_vs_sparse_min"] = worst
+    out["speedup_factored_vs_sparse_min"] = worst
     out["speedup_target_met"] = worst >= args.speedup_target
     Path(args.out).write_text(json.dumps(out, indent=2) + "\n")
     print(f"wrote {args.out}")
     ok = out["speedup_target_met"] and all(
         g["frontier_matches_sparse"] for g in out["grids"].values())
     if not ok:
-        print(f"response bench FAILED: min warm speedup x{worst:.2f} "
+        print(f"response bench FAILED: min factored speedup x{worst:.2f} "
               f"(target x{args.speedup_target}) or frontier mismatch",
               file=sys.stderr)
     return 0 if ok else 1
@@ -801,8 +776,8 @@ def main(argv=None) -> int:
     ap.add_argument("--fleet-workers", type=int, default=4,
                     help="fleet: campaign worker processes")
     ap.add_argument("--speedup-target", type=float, default=5.0,
-                    help="response: minimum warm-vs-sparse speedup "
-                         "before the bench fails")
+                    help="response: minimum factored-vs-sparse "
+                         "speedup before the bench fails")
     ap.add_argument("--compare", default=None, metavar="BASELINE.json",
                     help="after the run, diff timing metrics against "
                          "this baseline bench JSON and fail past "

@@ -69,9 +69,6 @@ def _cmd_freq(args: argparse.Namespace) -> int:
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
     from .core.sweeps import frequency_vs_chips
-    if args.response_cache_dir:
-        from .thermal.response import configure as configure_response
-        configure_response(args.response_cache_dir)
     chips = tuple(range(1, args.max_chips + 1))
     cools = tuple(args.cooling) if args.cooling else (
         "air", "water_pipe", "mineral_oil", "fluorinert", "water")
@@ -214,8 +211,7 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
                             checkpoint_path=args.checkpoint,
                             workers=args.workers,
                             chunk_size=args.chunk_size,
-                            chunk_timeout_s=args.chunk_timeout,
-                            response_cache_dir=args.response_cache_dir)
+                            chunk_timeout_s=args.chunk_timeout)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", DegradedResultWarning)
         result = runner.run(resume=args.resume)
@@ -297,8 +293,7 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
                             process_faults=plan,
                             chunk_timeout_s=args.chunk_timeout,
                             heartbeat_timeout_s=args.heartbeat_timeout,
-                            max_point_crashes=args.poison_threshold,
-                            response_cache_dir=args.response_cache_dir)
+                            max_point_crashes=args.poison_threshold)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", DegradedResultWarning)
         result = runner.run(resume=args.resume)
@@ -348,9 +343,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     from .resilience import ResilienceOptions, RetryPolicy
     from .serve import Broker, BrokerConfig, ServeHTTPServer
 
-    if args.response_cache_dir:
-        from .thermal.response import configure as configure_response
-        configure_response(args.response_cache_dir)
     config = BrokerConfig(
         workers=args.workers,
         max_queue=args.max_queue,
@@ -604,15 +596,6 @@ def build_parser() -> argparse.ArgumentParser:
                        choices=("low-power-cmp", "high-frequency-cmp",
                                 "xeon-e5-2667v4", "xeon-phi-7290"))
 
-    def add_response_cache(p):
-        p.add_argument("--response-cache-dir", default=None,
-                       metavar="DIR",
-                       help="directory of the content-addressed thermal "
-                            "response-operator store; processes and "
-                            "runs pointed at the same directory warm "
-                            "each other (built once per geometry, then "
-                            "mmap-loaded)")
-
     p = sub.add_parser("freq", help="max clock of one configuration")
     add_chip(p)
     p.add_argument("--chips", type=int, default=4)
@@ -628,7 +611,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="evaluate sweep points over N worker processes "
                         "(default 1: inline; results are identical at "
                         "every worker count)")
-    add_response_cache(p)
     p.set_defaults(func=_cmd_sweep)
 
     p = sub.add_parser("npb", help="NPB relative execution times")
@@ -709,7 +691,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="points per scheduled chunk; the checkpoint is "
                         "rewritten after each chunk (default: auto, at "
                         "most 8)")
-    add_response_cache(p)
     p.set_defaults(func=_cmd_campaign)
 
     p = sub.add_parser(
@@ -757,7 +738,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ledger-out", default=None, metavar="PATH",
                    help="also write the failure ledger as JSON (CI "
                         "artifact)")
-    add_response_cache(p)
     p.set_defaults(func=_cmd_chaos)
 
     p = sub.add_parser(
@@ -803,7 +783,6 @@ def build_parser() -> argparse.ArgumentParser:
                    metavar="SECONDS",
                    help="rolling window for the /stats SLO summary and "
                         "serve.slo.* gauges (p50/p99, event rates)")
-    add_response_cache(p)
     p.set_defaults(func=_cmd_serve)
 
     p = sub.add_parser(
@@ -854,8 +833,7 @@ def build_parser() -> argparse.ArgumentParser:
     # `repro fleet run` / `repro fleet sweep` live in their own module
     # (repro.fleet.cli); it registers obs flags on its leaves itself.
     from .fleet.cli import register as register_fleet
-    register_fleet(sub, add_obs_flags=_add_obs_flags,
-                   add_response_cache=add_response_cache)
+    register_fleet(sub, add_obs_flags=_add_obs_flags)
 
     # Accept the observability flags after the subcommand too
     # (`repro campaign --trace-out t.json ...`). Values parsed by the

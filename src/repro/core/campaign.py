@@ -57,10 +57,11 @@ from ..thermal.package import DEFAULT_PACKAGE, PackageParams
 from .freqopt import OperatingPoint
 from .point import evaluate
 
-#: 2 since the thermal ladder's first rung is named ``full`` and NPB
-#: records no longer name a performance rung; a version-1 file is
-#: quarantined and recomputed.
-CHECKPOINT_VERSION = 2
+#: 3 since temperatures come from the shared stack factors, which move
+#: them in their last bits; an older file is quarantined and recomputed.
+#: (2: the thermal ladder's first rung is named ``full`` and NPB records
+#: name no performance rung.)
+CHECKPOINT_VERSION = 3
 
 #: Statuses resume must not recompute. ``poison`` (quarantined by the
 #: supervised pool) is deliberately absent: a poisoned point is
@@ -527,13 +528,13 @@ class CampaignRunner:
         max_point_crashes: quarantine threshold forwarded to the
             supervised pool — worker crashes per chunk before its
             points are recorded as ``poison``.
-        response_cache_dir: directory of the content-addressed thermal
-            response-operator store (see :mod:`repro.thermal.response`).
-            Configured process-wide at :meth:`run`, so pool workers
-            inherit it and warm each other's operators across runs.
+        response_cache_dir: accepted and ignored. There is no operator
+            store any more; the argument stays only until the benchmark
+            in ``perfbench/`` stops passing it (ROADMAP, the
+            [benchmark] item).
 
     The campaign config hash deliberately excludes ``workers``,
-    ``chunk_size``, ``response_cache_dir``, and the supervision
+    ``chunk_size`` and the supervision
     timeouts: execution strategy changes how fast the answer arrives,
     not what it is, and ledger entries from a 4-worker re-run must tie
     to the same manifest as the 1-worker original. ``process_faults``
@@ -579,7 +580,6 @@ class CampaignRunner:
         self.chunk_timeout_s = chunk_timeout_s
         self.heartbeat_timeout_s = heartbeat_timeout_s
         self.max_point_crashes = max_point_crashes
-        self.response_cache_dir = response_cache_dir
         # per-record serialized forms (dict + rendered-JSON fragment),
         # keyed by point key; records are frozen, so each needs
         # serializing once per identity, not once per checkpoint
@@ -791,9 +791,6 @@ class CampaignRunner:
                 from scratch and overwrites the checkpoint.
         """
         t0 = time.perf_counter()
-        if self.response_cache_dir is not None:
-            from ..thermal.response import configure as _configure_response
-            _configure_response(self.response_cache_dir)
         records: dict[str, PointRecord] = {}
         ledger: list[LedgerEntry] = []
         if resume:

@@ -23,6 +23,7 @@ import numpy as np
 
 from ..errors import ThermalModelError
 from ..thermal.hotspot import ThermalModel
+from ..thermal.response import block_power_vector, response_enabled
 
 LEAKAGE_TEMP_COEFF_PER_K = 0.012
 """Fractional leakage growth per kelvin (~1-1.5 %/K is typical for
@@ -74,10 +75,11 @@ def solve_with_leakage_feedback(model: ThermalModel, f_hz: float, *,
     die by the mean-temperature factor keeps the model first-order
     consistent without re-running the power split).
 
-    When the model exposes a superposition operator the whole loop runs
-    in block-power space — every iterate is one dense matvec, and the
-    sparse solver is never touched. The rasterized-map + sparse-solve
-    loop remains as the fallback (kill switch, wrapped models).
+    The loop runs in block-power space: every iterate is one query on
+    the model's shared stack factors, and the sparse solver is never
+    touched. With ``REPRO_RESPONSE_DISABLE`` set it runs on rasterized
+    maps and sparse solves instead, the reference the factors are
+    checked against.
     """
     if coeff_per_k < 0:
         raise ThermalModelError("leakage coefficient cannot be negative")
@@ -85,14 +87,12 @@ def solve_with_leakage_feedback(model: ThermalModel, f_hz: float, *,
     dyn_w, stat_w = chip.dynamic_static_w(f_hz)
     stat_fraction = stat_w / (dyn_w + stat_w)
 
-    op = (model.response_operator()
-          if hasattr(model, "response_operator") else None)
-    if op is not None:
-        return _solve_feedback_dense(model, op, f_hz,
-                                     stat_fraction=stat_fraction,
-                                     coeff_per_k=coeff_per_k,
-                                     t_ref_c=t_ref_c, tol_c=tol_c,
-                                     max_iterations=max_iterations)
+    if response_enabled():
+        return _solve_feedback_factored(model, f_hz,
+                                        stat_fraction=stat_fraction,
+                                        coeff_per_k=coeff_per_k,
+                                        t_ref_c=t_ref_c, tol_c=tol_c,
+                                        max_iterations=max_iterations)
 
     base_maps = model.power_maps(f_hz)
     one_shot = model.network.solve(base_maps)
@@ -149,29 +149,28 @@ def _classify(f_hz: float, new_max: float, prev_max: float,
     )
 
 
-def _solve_feedback_dense(model: ThermalModel, op, f_hz: float, *,
-                          stat_fraction: float, coeff_per_k: float,
-                          t_ref_c: float, tol_c: float,
-                          max_iterations: int) -> FeedbackResult:
-    """The fixed-point loop in block-power space (one matvec per turn)."""
-    from ..thermal.response import block_power_vector
+def _solve_feedback_factored(model: ThermalModel, f_hz: float, *,
+                             stat_fraction: float, coeff_per_k: float,
+                             t_ref_c: float, tol_c: float,
+                             max_iterations: int) -> FeedbackResult:
+    """The fixed-point loop in block-power space (one query per turn)."""
+    n_chips = model.stack.n_chips
     base_p = block_power_vector(model.stack, f_hz)
 
-    t = op.temperatures(base_p)
+    t = model.temperatures(base_p)
     one_shot_max = float(t.max())
 
     prev_max = one_shot_max
     for it in range(1, max_iterations + 1):
         scaled_p = base_p.copy()
-        for i, mean_t in enumerate(op.per_die_mean(t)):
-            factor = _leak_factor(mean_t, stat_fraction, coeff_per_k,
-                                  t_ref_c)
-            scaled_p[op.die_column_slice(i)] *= factor
-        t = op.temperatures(scaled_p)
+        per_die = scaled_p.reshape(n_chips, -1)
+        for i, die_t in enumerate(t.reshape(n_chips, -1)):
+            per_die[i] *= _leak_factor(float(die_t.mean()), stat_fraction,
+                                       coeff_per_k, t_ref_c)
+        t = model.temperatures(scaled_p)
         new_max = float(t.max())
         outcome = _classify(f_hz, new_max, prev_max, one_shot_max,
-                            float(scaled_p.sum()), model.stack.n_chips,
-                            it, tol_c)
+                            float(scaled_p.sum()), n_chips, it, tol_c)
         if outcome is not None:
             return outcome
         prev_max = new_max

@@ -7,9 +7,9 @@ exactly the quantity plotted in the paper's Figs. 1, 7, 8, 15, 17.
 
 Temperature is strictly increasing in frequency (power is increasing in
 f and the network is linear with a positive inverse), so the search is a
-bisection over the discrete ladder; each probe is one matvec on the
-geometry's response operator (one triangular solve against the cached
-factorization on the sparse path).
+bisection over the discrete ladder; each probe is one query on the
+geometry's shared stack factors (one triangular solve against the
+cached factorization on the sparse path).
 """
 
 from __future__ import annotations

@@ -82,12 +82,8 @@ def _freq_point_task(payload, item) -> float:
     by :func:`repro.core.point.evaluate` with no programs.
 
     Module-level for pickling; workers inherit nothing but the payload,
-    so each process grows its own :class:`~repro.thermal.hotspot.
-    ModelCache` (factors cannot cross a pickle boundary — only results
-    come back). Response *operators* do cross it: with a
-    ``--response-cache-dir`` configured, the first worker to build a
-    geometry's operator persists it to the content-addressed store and
-    every other process mmap-loads it.
+    so each process grows its own model and factor caches (only results
+    cross the pickle boundary).
     """
     chip_name, threshold_c, params = payload
     cooling, n = item
@@ -151,29 +147,31 @@ class HSweepSeries:
     max_temp_c: tuple[float, ...]
 
 
+def h_sweep_cooling(h: float) -> CoolingOption:
+    """Fig. 14's hypothetical coolant at ``h`` W/m2K.
+
+    Full immersion in one fluid with no film, so the sweep isolates the
+    coolant itself.
+    """
+    coolant = custom_coolant(f"h={h:g}", h_w_m2k=float(h))
+    return CoolingOption(name=f"sweep-h{h:g}", style="immersion",
+                         primary_coolant=coolant, board_coolant=coolant)
+
+
 def _h_point_task(payload, h: float) -> float:
     """Pool task: max stack temperature at one heat-transfer coefficient.
 
-    Each h changes the convection entries on G's boundary diagonal — a
-    *different matrix*, not a different right-hand side — so the h sweep
-    cannot ride one factorization the way a frequency ladder can
-    (:meth:`~repro.thermal.network.ThermalNetwork.solve_many`), and
-    each h is likewise its own response operator (the geometry digest
-    covers the cooling boundary). The parallel axis here is the
-    independent factorizations; a warm operator store turns a repeated
-    sweep into pure matvecs.
+    Each h changes only the convection entries on the package's
+    boundary diagonal, so every h shares the chip's die factor and adds
+    one small package factor (:mod:`repro.thermal.response`): a sweep
+    is one die factor per chip plus one package factor and one query
+    per h. Inline, the die factor is built once; each pool worker
+    builds its own.
     """
     chip_name, n_chips, params = payload
     chip = get_chip(chip_name)
     stack = StackConfig(chip=chip, n_chips=n_chips)
-    coolant = custom_coolant(f"h={h:g}", h_w_m2k=float(h))
-    cooling = CoolingOption(
-        name=f"sweep-h{h:g}",
-        style="immersion",
-        primary_coolant=coolant,
-        board_coolant=coolant,
-    )
-    model = ThermalModel(stack, cooling, params)
+    model = ThermalModel(stack, h_sweep_cooling(h), params)
     return model.max_temperature_c(chip.ladder.f_max_hz)
 
 
@@ -220,8 +218,8 @@ def temperature_vs_frequency(chip_name: str, cooling_name: str,
              else StackConfig(chip=chip, n_chips=n_chips))
     model = ThermalModel(stack, get_cooling(cooling_name), params)
     freqs = chip.ladder.frequencies()
-    # One batched query: a matvec per ladder step on the geometry's
-    # response operator (multi-RHS sparse solve on the fallback path).
+    # One batched query: the factors resolved once, then one query per
+    # ladder step (one sparse solve per step on the fallback path).
     temps = model.max_temperatures_many([float(f) for f in freqs])
     return FreqTempSeries(
         cooling=cooling_name,
@@ -250,11 +248,9 @@ def thermal_maps_many(chip_name: str, cooling_name: str,
                       ) -> list[dict[str, np.ndarray]]:
     """Per-die temperature fields at several VFS steps, batched.
 
-    One geometry, one response operator, one matvec per frequency
-    (one multi-RHS sparse solve on the fallback path) instead of k
-    separate :func:`thermal_maps` calls that each rebuild and refactor
-    the same network. Returns one field dict per frequency, in input
-    order.
+    One geometry, its factors resolved once, one query per frequency
+    (one sparse solve per frequency on the fallback path). Returns one
+    field dict per frequency, in input order.
     """
     chip = get_chip(chip_name)
     stack = (flip_even_layers(chip, n_chips) if flipped

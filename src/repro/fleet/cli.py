@@ -35,14 +35,13 @@ import sys
 __all__ = ["register"]
 
 
-def register(sub, *, add_obs_flags, add_response_cache) -> None:
+def register(sub, *, add_obs_flags) -> None:
     """Attach the ``fleet`` subcommand to the root subparsers.
 
     Args:
         sub: the root parser's subparsers object.
         add_obs_flags: adds the global observability flags (the leaves
             need them too, so they parse after the verb).
-        add_response_cache: adds ``--response-cache-dir``.
     """
     fleet = sub.add_parser(
         "fleet",
@@ -62,7 +61,6 @@ def register(sub, *, add_obs_flags, add_response_cache) -> None:
     run.add_argument("--events-out", default=None, metavar="PATH",
                      help="stream the canonical event log (JSON lines) "
                           "there")
-    add_response_cache(run)
     add_obs_flags(run)
     run.set_defaults(func=_cmd_run)
 
@@ -71,7 +69,6 @@ def register(sub, *, add_obs_flags, add_response_cache) -> None:
         help="policy x seed campaign; prints the policy comparison")
     _add_scenario_flags(sweep)
     _add_campaign_flags(sweep)
-    add_response_cache(sweep)
     add_obs_flags(sweep)
     sweep.set_defaults(func=_cmd_sweep)
 
@@ -93,7 +90,6 @@ def register(sub, *, add_obs_flags, add_response_cache) -> None:
                        help="write the incident ledger there "
                             "(resilience failure-ledger JSON; "
                             "integrity-checked after writing)")
-    add_response_cache(chaos)
     add_obs_flags(chaos)
     chaos.set_defaults(func=_cmd_chaos)
 
@@ -282,12 +278,6 @@ def _scenario_from_args(args: argparse.Namespace, *, policy: str,
                          label=args.label, faults=faults)
 
 
-def _configure_cache(args: argparse.Namespace) -> None:
-    if getattr(args, "response_cache_dir", None):
-        from ..thermal.response import configure as configure_response
-        configure_response(args.response_cache_dir)
-
-
 def _print_result(r) -> None:
     a = r.account
     print(f"policy {r.scenario.policy}  seed {r.scenario.seed}  "
@@ -315,7 +305,6 @@ def _print_result(r) -> None:
 def _cmd_run(args: argparse.Namespace) -> int:
     from .sim import simulate
 
-    _configure_cache(args)
     scenario = _scenario_from_args(args, policy=args.policy,
                                    seed=args.seed)
     if args.events_out:
@@ -374,7 +363,6 @@ def _write_campaign(args: argparse.Namespace, results) -> None:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    _configure_cache(args)
     results, poisoned = _run_campaign(args)
 
     header = (f"{'policy':<14} {'seed':>5} {'Gc/s':>8} {'work/MJ':>9} "
@@ -408,7 +396,6 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
                               ProcessFaultPlan)
     from .faults import incident_ledger_entries
 
-    _configure_cache(args)
     plan = _fault_plan_from_args(args)
     proc_plan = None
     if args.inject:

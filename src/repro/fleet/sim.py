@@ -14,12 +14,12 @@ A naive implementation would solve a thermal network per board per
 step (~740k solves for the acceptance-bar fleet). The simulator
 instead exploits two structural facts:
 
-1. **The PR-7 response operator.** The chip ladder's worst-case die
-   temperatures at the *reference* ambient are ``len(ladder)`` matvec
-   queries against one cached operator
+1. **The shared stack factors.** The chip ladder's worst-case die
+   temperatures at the *reference* ambient are ``len(ladder)`` queries
+   on the geometry's stack factors
    (:meth:`~repro.thermal.hotspot.ThermalModel.max_temperatures_many`)
    — computed once per scenario, shared across every board and step,
-   and content-address-cached across scenarios and processes.
+   and cached with the model across scenarios.
 2. **The ambient-shift identity.** Every boundary layer of the package
    network shares one ambient (the immersion water), so the network
    equation ``G T = P + B T_amb`` satisfies ``G 1 = B 1`` (zero power
@@ -176,11 +176,11 @@ class BoardLadder:
 
 
 def build_board_ladder(config: FleetConfig) -> BoardLadder:
-    """Solve the ladder once per geometry (response-operator backed).
+    """Solve the ladder once per geometry (stack-factor backed).
 
-    One :func:`~repro.thermal.hotspot.model_for` lookup (bounded LRU +
-    the PR-7 content-addressed operator store behind it) answers the
-    whole ladder as matvecs; everything after this is arithmetic.
+    One :func:`~repro.thermal.hotspot.model_for` lookup (bounded LRU,
+    with the factor cache behind it) answers the whole ladder, one
+    query per step; everything after this is arithmetic.
     """
     chip = get_chip(config.chip)
     model = model_for(config.chip, config.n_chips, config.cooling)

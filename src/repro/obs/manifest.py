@@ -77,10 +77,9 @@ def canonical_config(value: Any) -> Any:
     tuples become lists, and dict keys coerce to str. Bools are left
     alone — ``True`` is not ``1`` in a spec. Key *order* needs no
     handling here: :func:`config_hash` already serializes with sorted
-    keys. This is the single normalization both the serving layer
-    (coalescing / result-cache keys) and the thermal response-operator
-    store (geometry keys) hash through, so the two cache families agree
-    on what "the same configuration" means.
+    keys. This is the single normalization the serving layer
+    (coalescing / result-cache keys) and run manifests hash through, so
+    they agree on what "the same configuration" means.
     """
     if isinstance(value, bool):
         return value

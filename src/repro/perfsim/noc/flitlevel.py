@@ -7,7 +7,9 @@ with explicit virtual channels, credit-based flow control, and
 flit-by-flit switch traversal — for a single link, which is where the
 approximation could err. The test suite uses it to validate:
 
-* zero-load latency: identical to the packet model's formula;
+* zero-load latency: identical to the packet model's formula — the
+  head flit leaves after the router pipeline plus the link cycles, and
+  each trailing flit adds one cycle;
 * back-to-back serialization: a trailing packet waits for the leader's
   tail flits exactly as the packet model's link-occupancy rule charges
   — on one physical link, virtual channels share bandwidth rather than
@@ -41,7 +43,7 @@ class FlitLink:
 
     Models the downstream input buffers (per-VC, ``vc_buffer_flits``
     credits), a round-robin VC allocator for the single physical link,
-    and the router pipeline delay ahead of the link stage.
+    and the router pipeline and link delay ahead of the head flit.
 
     Args:
         params: Table 1 router constants.
@@ -94,7 +96,8 @@ class FlitLink:
             if not q:
                 continue
             head = q[0]
-            ready_at = head.inject_cycle + self.params.pipeline_stages
+            ready_at = (head.inject_cycle + self.params.pipeline_stages
+                        + self.params.link_cycles)
             if self._cycle < ready_at or self._credits[vc] == 0:
                 continue
             self._credits[vc] -= 1

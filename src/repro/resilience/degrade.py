@@ -11,7 +11,7 @@ down.
 One concrete ladder covers the pipeline's expensive tier:
 :func:`freq_point_rungs` — the grid
 :class:`~repro.thermal.hotspot.ThermalModel` (rung ``full``), answering
-through its structured response operator
+through its shared stack factors
 (:mod:`repro.thermal.response`), falling back to the closed-form
 :class:`~repro.thermal.analytic.AnalyticStackModel` (rung
 ``analytic``). Checkpoints, ledgers and served answers record the rung
@@ -158,7 +158,7 @@ def freq_point_rungs(chip: str, n_chips: int, cooling: str, *,
 
     Rung 0 (``full``) answers through :func:`~repro.thermal.
     hotspot.model_for`: the model is fetched from the process-wide
-    bounded :class:`~repro.thermal.hotspot.ModelCache` keyed on (chip,
+    bounded :func:`~repro.thermal.hotspot.model_cache` keyed on (chip,
     stack, rotations, cooling, package), so repeated visits to one
     geometry — retries, npb+freq grids over the same stacks, pool
     workers chewing through chunks — reuse it instead of re-assembling

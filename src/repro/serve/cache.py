@@ -2,8 +2,8 @@
 
 Keyed by the SHA-256 config hash (:func:`~repro.serve.request.
 spec_hash`) and layered *above* the thermal layer's
-:class:`~repro.thermal.hotspot.ModelCache`: that cache saves the
-sparse-LU factorization of a geometry, this one saves the finished
+:func:`~repro.thermal.hotspot.model_cache`: that cache saves the
+temperatures a geometry's model computed, this one saves the finished
 :class:`~repro.serve.runner.SpecOutcome`, so a repeated what-if query
 costs a dict lookup instead of even a cached solve.
 

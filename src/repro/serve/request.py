@@ -39,9 +39,8 @@ __all__ = [
 def canonical_spec_dict(value: Any) -> Any:
     """Recursively normalize a JSON-ish config for hashing.
 
-    Delegates to :func:`repro.obs.canonical_config` — the same
-    normalization keys the thermal response-operator store, so a spec
-    and the geometry it implies hash consistently. Kept as a re-export
+    Delegates to :func:`repro.obs.canonical_config`, the normalization
+    run manifests hash through. Kept as a re-export
     because the serving layer's public API grew up around this name.
     """
     return canonical_config(value)

@@ -10,7 +10,8 @@ from .coolants import (
     custom_coolant,
     get_coolant,
 )
-from .hotspot import ModelCache, ThermalModel, model_cache, model_for
+from .cache import BoundedCache, CacheInfo
+from .hotspot import ThermalModel, model_cache, model_for
 from .layers import Boundary, GridLayer, Interface, overlap_matrix
 from .maps import MapStats, ascii_map, stack_stats, uniformity_index, vertical_profile
 from .materials import (
@@ -41,19 +42,16 @@ from .package import (
     DEFAULT_PACKAGE,
     PackageParams,
     build_network,
+    build_package_network,
     die_layer_names,
     stack_power_maps,
 )
 from .response import (
-    ResponseCache,
-    ResponseOperator,
-    ResponseStore,
     block_power_vector,
-    build_response_operator,
-    geometry_digest,
     response_cache,
     response_enabled,
 )
+from .stacksolve import DieFactor, PackageFactor
 
 __all__ = [
     "Coolant",
@@ -91,18 +89,17 @@ __all__ = [
     "PackageParams",
     "DEFAULT_PACKAGE",
     "build_network",
+    "build_package_network",
     "stack_power_maps",
     "die_layer_names",
     "ThermalModel",
     "model_for",
     "model_cache",
-    "ModelCache",
-    "ResponseOperator",
-    "ResponseCache",
-    "ResponseStore",
-    "build_response_operator",
+    "BoundedCache",
+    "CacheInfo",
+    "DieFactor",
+    "PackageFactor",
     "block_power_vector",
-    "geometry_digest",
     "response_cache",
     "response_enabled",
     "MapStats",

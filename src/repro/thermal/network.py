@@ -12,10 +12,9 @@ side). G depends only on geometry/materials/boundaries. Assembly and
 factorization are separate, lazy steps: :meth:`conductance_matrix`,
 :meth:`boundary_conductances` and :meth:`heat_balance` only assemble
 (the structured die-stack solver in :mod:`repro.thermal.stacksolve`
-reads G and needs nothing more), while the first :meth:`solve` /
-:meth:`solve_many` factorizes G once (sparse LU via
-``scipy.sparse.linalg.splu``) and re-uses the factor for every later
-power vector.
+reads G and needs nothing more), while the first :meth:`solve`
+factorizes G once (sparse LU via ``scipy.sparse.linalg.splu``) and
+re-uses the factor for every later power vector.
 """
 
 from __future__ import annotations
@@ -294,50 +293,6 @@ class ThermalNetwork:
             off = self._offsets[la.name]
             fields[la.name] = t[off:off + la.num_cells].reshape(la.ny, la.nx)
         return ThermalResult(fields)
-
-    def solve_many(self, power_w_seq: "list[dict[str, np.ndarray]] | "
-                                      "tuple[dict[str, np.ndarray], ...]"
-                   ) -> list[ThermalResult]:
-        """Steady-state solves for several power injections in one call.
-
-        Stacks the right-hand sides into an (n, k) block and pushes the
-        whole block through the cached sparse-LU factor at once, so k
-        solves cost one Python round trip instead of k — the win the
-        frequency optimizer and the ladder sweeps batch for.
-
-        Args:
-            power_w_seq: per-solve power maps, same contract as
-                :meth:`solve`. An empty sequence returns an empty list.
-
-        Returns:
-            One :class:`ThermalResult` per input, in input order;
-            ``solve_many([p])[0]`` equals ``solve(p)``.
-        """
-        if not power_w_seq:
-            return []
-        t0 = time.perf_counter()
-        k = len(power_w_seq)
-        with span("thermal.solve_many", nodes=self._n, batch=k):
-            if self._lu is None:
-                self._factorize()
-            rhs = np.empty((self._n, k))
-            for j, power_w in enumerate(power_w_seq):
-                rhs[:, j] = self._rhs_vector(power_w)
-            t_block = self._lu.solve(rhs)
-        counter("thermal.solves").inc(k)
-        counter("thermal.batched_solves").inc()
-        histogram("thermal.batch_size").observe(k)
-        histogram("thermal.solve_seconds").observe(time.perf_counter() - t0)
-        results = []
-        for j in range(k):
-            t = t_block[:, j]
-            fields = {}
-            for la in self.layers:
-                off = self._offsets[la.name]
-                fields[la.name] = (
-                    t[off:off + la.num_cells].reshape(la.ny, la.nx))
-            results.append(ThermalResult(fields))
-        return results
 
     def _rhs_vector(self, power_w: dict[str, np.ndarray]) -> np.ndarray:
         rhs = self._boundary_tamb.copy()

@@ -163,6 +163,27 @@ def build_network(stack: StackConfig, cooling: CoolingOption,
     from :func:`stack_power_maps` (or any custom maps) via
     :meth:`~repro.thermal.network.ThermalNetwork.solve`.
     """
+    return _network(stack, cooling, params, dies=True)
+
+
+def build_package_network(stack: StackConfig, cooling: CoolingOption,
+                          params: PackageParams = DEFAULT_PACKAGE
+                          ) -> ThermalNetwork:
+    """The package layers of :func:`build_network` without the dies.
+
+    Board, substrate, spreader and sink with the two package interfaces
+    and both boundaries, in the full network's node order. Its
+    conductance matrix is the full network's package block less the die
+    interfaces' share of the diagonal, which the stack's
+    :class:`~repro.thermal.stacksolve.DieFactor` carries; the cooling
+    option enters only here.
+    """
+    return _network(stack, cooling, params, dies=False)
+
+
+def _network(stack: StackConfig, cooling: CoolingOption,
+             params: PackageParams, *, dies: bool) -> ThermalNetwork:
+    """:func:`build_network`, or its package layers alone."""
     die_outline = stack.chip.floorplan().outline
     n = stack.n_chips
     g = params.package_grid
@@ -189,21 +210,24 @@ def build_network(stack: StackConfig, cooling: CoolingOption,
     interfaces.append(Interface("board", "substrate",
                                 params.board_substrate_r_m2kw))
 
-    prev = "substrate"
-    prev_r = params.die_attach_r_m2kw
-    for i in range(n):
-        die = GridLayer(
-            name=f"die{i}",
-            outline=die_outline,
-            thickness_m=stack.chip.die_thickness_m,
-            material=SILICON,
-            nx=params.die_grid, ny=params.die_grid,
-            k_lateral_w_mk=params.die_k_lateral,
-        )
-        layers.append(die)
-        interfaces.append(Interface(prev, die.name, prev_r))
-        prev = die.name
-        prev_r = params.die_bond_r_m2kw
+    if dies:
+        prev = "substrate"
+        prev_r = params.die_attach_r_m2kw
+        for i in range(n):
+            die = GridLayer(
+                name=f"die{i}",
+                outline=die_outline,
+                thickness_m=stack.chip.die_thickness_m,
+                material=SILICON,
+                nx=params.die_grid, ny=params.die_grid,
+                k_lateral_w_mk=params.die_k_lateral,
+            )
+            layers.append(die)
+            interfaces.append(Interface(prev, die.name, prev_r))
+            prev = die.name
+            prev_r = params.die_bond_r_m2kw
+        interfaces.append(Interface(prev, "spreader",
+                                    params.tim_spreader_r_m2kw))
 
     spreader = GridLayer(
         name="spreader",
@@ -213,7 +237,6 @@ def build_network(stack: StackConfig, cooling: CoolingOption,
         nx=g, ny=g,
     )
     layers.append(spreader)
-    interfaces.append(Interface(prev, "spreader", params.tim_spreader_r_m2kw))
 
     if cooling.style == "cold_plate":
         # Closed-loop cooler: cold plate the size of the spreader; the

@@ -18,20 +18,31 @@ two ``eigh`` calls of size ``ny`` and ``nx``. In the ``V (x) Q`` basis
 ``(T + lam_k I)^-1``. The few package nodes (board, substrate,
 spreader, sink) touch the dies only through the bottom and top die, so
 eliminating the dies leaves one small dense Schur complement
-``S = G_pp - G_pd G_dd^-1 G_dp`` for the package.
+``S = G_pp - W`` with ``W = G_pd G_dd^-1 G_dp`` for the package.
 
-A die-side right-hand side then costs a scaling in the eigenbasis, a
-solve against ``S`` and a separable transform back to cells: two
-batches of ``ny`` (resp. ``nx``) small GEMMs per die, ``nx + ny``
-multiply-adds per output entry instead of the ``m`` of a dense ``Q``.
+The cooling option enters the network only at the package boundary:
+the sink's top face and the board's bottom face. Everything on the die
+side of the elimination — the eigenbasis, the Green's functions, the
+die-package coupling, the dies' boundary source and ``W`` — is the same
+under every coolant, so the solve comes in two factors:
+
+* :class:`DieFactor`, one per die stack, read off any coolant's
+  assembled network;
+* :class:`PackageFactor`, one per coolant, ``S`` assembled from the die
+  factor and the coolant's package layers alone
+  (:func:`~repro.thermal.package.build_package_network`) and factored
+  by LAPACK's symmetric ``dsytrf``.
+
+A query (:meth:`PackageFactor.temperatures`) pushes one block-power
+vector through both: per die the unit-power basis in modes times its
+block powers, the Green's functions, one ``dsytrs`` against ``S``,
+then the back-substitution and a separable transform back to cells
+(two batches of ``ny`` (resp. ``nx``) small GEMMs, ``nx + ny``
+multiply-adds per output entry instead of the ``m`` of a dense ``Q``).
 The small GEMMs stay below the size at which BLAS spreads work over
-threads, and ``S`` is solved by LAPACK's symmetric ``sysv``, which
-OpenBLAS runs on the calling thread: the build neither waits on BLAS
-worker threads nor changes its bits with their number.
-
-:class:`DieStackSolver` reads ``L``, ``T`` and the package coupling off
-the assembled matrix and checks that ``G_dd`` really is that Kronecker
-sum; a network whose dies differ raises :class:`ThermalModelError`.
+threads, a threaded matrix-vector product gives each output entry to
+one thread, and OpenBLAS runs ``dsytrf`` / ``dsytrs`` on the calling
+thread: the answer's bits do not change with the BLAS thread count.
 """
 
 from __future__ import annotations
@@ -39,7 +50,7 @@ from __future__ import annotations
 from typing import Sequence
 
 import numpy as np
-from scipy.linalg import LinAlgError, solve
+from scipy.linalg.lapack import dsytrf, dsytrf_lwork, dsytrs
 
 from ..errors import SingularNetworkError, ThermalModelError
 from .network import ThermalNetwork
@@ -64,30 +75,48 @@ def _off_diagonal(a: np.ndarray) -> int:
     return np.count_nonzero(a) - np.count_nonzero(np.diag(a))
 
 
-class DieStackSolver:
-    """Die temperatures of a stacked network from its Kronecker structure.
+def _package_layers(network: ThermalNetwork,
+                    skip: Sequence[str] = ()) -> tuple[tuple[str, int], ...]:
+    """``(name, cells)`` of every layer not in ``skip``, in node order."""
+    return tuple((la.name, la.num_cells) for la in network.layers
+                 if la.name not in skip)
+
+
+class DieFactor:
+    """The cooling-independent half of a die stack's structured solve.
 
     Args:
-        network: the assembled network (read through
+        network: the stack's assembled network under any cooling option
+            (read through
             :meth:`~repro.thermal.network.ThermalNetwork.conductance_matrix`;
             never factorized).
         die_names: the die layers, bottom first. Every other layer is
             package.
+        bases: per die, bottom first, an ``(m, k)`` array whose columns
+            are unit-power injections in cell watts (the same ``k`` for
+            every die). Dies passing the same array object share its
+            transform.
 
     Raises:
         ThermalModelError: the dies do not share one lateral block with
-            cell-to-cell vertical coupling, or there is no package.
+            cell-to-cell vertical coupling, there is no package, or the
+            bases do not match the dies.
         SingularNetworkError: the stack has no path to any boundary.
     """
 
-    def __init__(self, network: ThermalNetwork,
-                 die_names: Sequence[str]) -> None:
+    def __init__(self, network: ThermalNetwork, die_names: Sequence[str],
+                 bases: Sequence[np.ndarray]) -> None:
         dies = [network.layer_named(name) for name in die_names]
         nx, ny = dies[0].nx, dies[0].ny
         if any((d.nx, d.ny) != (nx, ny) for d in dies):
             raise ThermalModelError(
                 "structured stack solve: die layers have different grids")
         m, h = nx * ny, len(dies)
+        if len(bases) != h or len({u.shape for u in bases}) != 1 \
+                or bases[0].shape[0] != m:
+            raise ThermalModelError(
+                f"need one ({m}, k) basis per die ({h}), got "
+                f"{[u.shape for u in bases]}")
         die_idx = np.concatenate([network.node_index(name, 0, 0)
                                   + np.arange(m) for name in die_names])
         is_pkg = np.ones(network.num_nodes, dtype=bool)
@@ -130,111 +159,135 @@ class DieStackSolver:
         if not denom.min() > 1e-12 * denom.max():
             raise SingularNetworkError(
                 "die stack has no path to any boundary")
+        self._nx, self._ny = nx, ny
         #: green[k, i, j] = ((T + lam_k I)^-1)[i, j]
-        self._green = (v[None, :, :] / denom[:, None, :]) @ v.T
-        self._nx, self._ny, self._h = nx, ny, h
+        self.green = (v[None, :, :] / denom[:, None, :]) @ v.T
+        #: per die, the unit-power basis in modes, ``(m, k)``
+        hats = {id(u): self.modes(u) for u in bases}
+        self.basis_hat = tuple(hats[id(u)] for u in bases)
+        source = network.boundary_source()
+        #: the dies' boundary source in modes, ``(m, h)``
+        self.source_hat = self.modes(source[die_idx].reshape(h, m).T)
+        #: package layers this factor pairs with, in node order
+        self.package_layers = _package_layers(network, die_names)
 
         # package coupling (die a's cells -> its package neighbours) and
-        # the Schur complement S = G_pp - sum_ab C_a^T Q g_ab Q^T C_b
+        # W = sum_ab C_a^T Q g_ab Q^T C_b over the coupled dies
         coupling = g[:nd, nd:]
         rows = np.repeat(np.arange(nd), np.diff(coupling.indptr))
-        self._coupled = []
+        coupled = []
         for a in np.unique(rows // m):
             c_a = coupling[a * m:(a + 1) * m]
             cols = np.unique(c_a.indices)
-            self._coupled.append((a, cols, c_a[:, cols]))
-        self._schur = g[nd:, nd:].toarray()
-        for b, cols_b, c_b in self._coupled:
-            c_hat = self._modes(c_b.toarray())
-            for a, cols_a, c_a in self._coupled:
-                self._schur[np.ix_(cols_a, cols_b)] -= c_a.T @ self._cells(
-                    self._green[:, a, b, None] * c_hat)
-        source = network.boundary_source()
-        self._source_d = source[die_idx].reshape(h, m).T
-        self._source_p = source[pkg_idx]
+            coupled.append((a, cols, c_a[:, cols]))
+        #: per coupled die ``a``: its package columns and ``Q^T C_a``
+        self.ports = tuple((a, cols, self.modes(c_a.toarray()))
+                           for a, cols, c_a in coupled)
+        w = np.zeros((pkg_idx.size, pkg_idx.size))
+        for (b, cols_b, _), (_, _, c_hat) in zip(coupled, self.ports):
+            for a, cols_a, c_a in coupled:
+                w[np.ix_(cols_a, cols_b)] += c_a.T @ self.cells(
+                    self.green[:, a, b, None] * c_hat)
+        # The package network holds no die, so its diagonal lacks the
+        # die interfaces' share of G_pp; fold that share into W here.
+        w[np.diag_indices_from(w)] += np.asarray(
+            coupling.sum(axis=0)).ravel()
+        #: ``S = G_pkg - w`` for every coolant's package network ``G_pkg``
+        #: (Fortran order, as LAPACK takes ``S``)
+        self.w = np.asfortranarray(w)
 
-    def _modes(self, x: np.ndarray) -> np.ndarray:
+    @property
+    def n_dies(self) -> int:
+        """Stack height."""
+        return self.green.shape[1]
+
+    def modes(self, x: np.ndarray) -> np.ndarray:
         """``Q^T x`` for cell rows ``x`` of shape ``(m, n)``."""
         ny, nx = self._ny, self._nx
         z = np.matmul(self._wx.T, x.reshape(ny, nx, -1))
         z = np.matmul(self._wy.T, z.transpose(1, 0, 2))
         return z.transpose(1, 0, 2).reshape(nx * ny, -1)
 
-    def _cells(self, x_hat: np.ndarray,
-               out: np.ndarray | None = None) -> np.ndarray:
-        """``Q x_hat`` for mode rows ``x_hat`` of shape ``(m, n)``,
-        written into the C-contiguous ``out`` when given."""
+    def cells(self, x_hat: np.ndarray) -> np.ndarray:
+        """``Q x_hat`` for mode rows ``x_hat`` of shape ``(m, n)``."""
         ny, nx = self._ny, self._nx
-        if out is None:
-            out = np.empty(x_hat.shape)
+        out = np.empty(x_hat.shape)
         z = np.matmul(self._wx, x_hat.reshape(ny, nx, -1))
         np.matmul(self._wy, z.transpose(1, 0, 2),
                   out=out.reshape(ny, nx, -1).transpose(1, 0, 2))
         return out
 
-    def response(self, bases: Sequence[np.ndarray]) -> np.ndarray:
-        """The homogeneous response array of the stack.
+
+class PackageFactor:
+    """One coolant's package solve on top of a shared :class:`DieFactor`.
+
+    Args:
+        die: the stack's die factor.
+        package: the coolant's package layers alone
+            (:func:`~repro.thermal.package.build_package_network`): the
+            package block of the full network, less the die interfaces'
+            share of its diagonal, which ``die`` carries.
+
+    Raises:
+        ThermalModelError: ``package`` has other layers than the
+            package ``die`` was read from.
+        SingularNetworkError: the package Schur complement is singular.
+    """
+
+    def __init__(self, die: DieFactor, package: ThermalNetwork) -> None:
+        if _package_layers(package) != die.package_layers:
+            raise ThermalModelError(
+                f"package layers {_package_layers(package)} do not match "
+                f"the die factor's {die.package_layers}")
+        s = package.conductance_matrix().toarray(order="F")
+        s -= die.w
+        lwork = int(dsytrf_lwork(s.shape[0])[0])
+        self._lu, self._ipiv, info = dsytrf(s, lwork=lwork, overwrite_a=True)
+        if info > 0:
+            raise SingularNetworkError(
+                "package Schur complement is singular; check that every "
+                "layer is connected to a boundary")
+        self._source = package.boundary_source()
+        #: the die factor this package solve was built on
+        self.die = die
+
+    def temperatures(self, p: np.ndarray) -> np.ndarray:
+        """Die temperatures (flat, die-major, Celsius) for block powers.
 
         Args:
-            bases: per die, bottom first, an ``(m, k)`` array whose
-                columns are unit-power injections in cell watts (the
-                same ``k`` for every die). Dies passing the same array
-                object share its transform.
+            p: per-(die, block) watts, dies bottom first, each die's
+                blocks in its basis column order.
 
-        Returns:
-            ``(h * m, 1 + h * k)`` array: column 0 the ambient-only die
-            temperatures, then each die's basis responses, die-major.
+        Raises:
+            ThermalModelError: ``p`` has the wrong shape.
+            SingularNetworkError: the answer is not finite or not
+                physical (a layer or island has no path to a boundary).
         """
-        h, green = self._h, self._green
-        m = self._nx * self._ny
-        if len(bases) != h:
+        die = self.die
+        h = die.n_dies
+        k = die.basis_hat[0].shape[1]
+        if p.shape != (h * k,):
             raise ThermalModelError(
-                f"need one basis per die ({h}), got {len(bases)}")
-        hats = {id(u): self._modes(u) for u in bases}
-        basis = np.stack([hats[id(u)] for u in bases], axis=1)  # (m, h, k)
-        n_cols = 1 + basis[0].size
-        # G_dd^-1 of the dies' own boundary source, in eigen-coordinates
-        ambient = np.einsum("kij,kj->ki", green,
-                            self._modes(self._source_d))
-        free = np.empty((m, n_cols))
-
-        def die_free(i: int) -> np.ndarray:
-            """Die i's eigen-coordinates of ``G_dd^-1 f`` per column."""
-            free[:, 0] = ambient[:, i]
-            # a view: only the contiguous column axis is split
-            np.multiply(green[:, i, :, None], basis,
-                        out=free[:, 1:].reshape(basis.shape))
-            return free
-
+                f"power vector must have shape ({h * k},), got {p.shape}")
+        # per die, the basis in modes times its block powers, plus the
+        # dies' own boundary source
+        y = die.source_hat.copy()
+        for i, b_hat in enumerate(die.basis_hat):
+            y[:, i] += b_hat @ p[i * k:(i + 1) * k]
+        # G_dd^-1 of that, in eigen-coordinates
+        x = np.einsum("kij,kj->ki", die.green, y)
         # package temperatures: S x_p = f_p - G_pd G_dd^-1 f_d
-        rhs = np.zeros((self._source_p.size, n_cols), order="F")
-        rhs[:, 0] = self._source_p
-        for a, cols, c_a in self._coupled:
-            rhs[cols] -= c_a.T @ self._cells(die_free(a))
-        try:
-            # sysv, not Cholesky: OpenBLAS threads potrf/potrs, and the
-            # operator's bits would follow the BLAS thread count
-            x_p = solve(self._schur, rhs, assume_a="sym", overwrite_b=True,
-                        check_finite=False)
-        except LinAlgError as exc:
-            raise SingularNetworkError(
-                f"package Schur complement is singular: {exc}; check "
-                f"that every layer is connected to a boundary") from exc
-        # ... as seen by each coupled die, in its eigen-coordinates
-        ports = [a for a, _, _ in self._coupled]
-        seen = np.empty((len(ports), m, n_cols))
-        for s, (_, cols, c_a) in zip(seen, self._coupled):
-            s[:] = self._modes(c_a @ x_p[cols])
-        del rhs, x_p        # before the operator array: peak memory
-
-        arr = np.empty((h * m, n_cols))
-        for i in range(h):
-            x = die_free(i)
-            x -= np.einsum("ka,akn->kn", green[:, i, ports], seen)
-            self._cells(x, out=arr[i * m:(i + 1) * m])
-        t0 = arr[:, 0]
-        if not (np.all(np.isfinite(t0)) and np.abs(t0).max() < 1e12):
+        rhs = self._source.copy()
+        for a, cols, port in die.ports:
+            rhs[cols] -= x[:, a] @ port
+        x_p, _ = dsytrs(self._lu, self._ipiv, rhs[:, None],
+                        overwrite_b=True)
+        # back-substitute the package as each coupled die sees it
+        for a, cols, port in die.ports:
+            x -= die.green[:, :, a] * (port @ x_p[cols])
+        t = die.cells(x).T.ravel()
+        if not (np.all(np.isfinite(t)) and np.abs(t).max() < 1e12):
             raise SingularNetworkError(
                 "conductance matrix is singular (a layer or island has no "
                 "path to any boundary)")
-        return arr
+        return t

@@ -183,18 +183,16 @@ class TestCampaignRuns:
         assert all(r.rung == "full" for r in clean)
 
     def test_resume_skips_finished_without_solving(self, tmp_path,
-                                                   fast_params,
-                                                   monkeypatch):
+                                                   fast_params):
         """Acceptance: resume recomputes nothing for finished points,
-        verified from cold caches by counting response-operator builds
-        and sparse solves."""
+        verified from cold caches by counting stack-factor builds and
+        sparse solves."""
         from repro.obs import get_registry
         from repro.thermal.hotspot import model_cache
-        from repro.thermal.response import STORE_DIR_ENV, response_cache
-        monkeypatch.delenv(STORE_DIR_ENV, raising=False)
+        from repro.thermal.response import response_cache
 
         def work() -> int:
-            """Operator builds plus sparse solves so far, caches emptied."""
+            """Factor builds plus sparse solves so far, caches emptied."""
             model_cache().clear()
             response_cache().clear()
             c = get_registry().snapshot()["counters"]

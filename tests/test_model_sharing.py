@@ -2,7 +2,7 @@
 
 ``ExperimentSpec.run()`` takes its model from ``model_for``, the same
 bounded model cache campaigns and the fleet use, and a model keeps the
-die temperatures it computed but not the response operator. These tests
+die temperatures it computed but no stack factor. These tests
 pin what that sharing must not change, against references that share
 nothing: a new :class:`ThermalModel` built for each answer.
 
@@ -10,8 +10,8 @@ nothing: a new :class:`ThermalModel` built for each answer.
   model, on probed and unprobed ladder steps, flipped or overridden;
 * the kill switch still sends every query to the sparse path;
 * threads sharing one model give the bytes of a serial run;
-* live operators never outnumber the response cache's capacity;
-* cached queries look up no operator, and cached arrays are read-only.
+* live factors never outnumber the response cache's entries;
+* cached queries look up no factor, and cached arrays are read-only.
 """
 
 from __future__ import annotations
@@ -27,7 +27,6 @@ import pytest
 
 from repro.config import ExperimentResult, ExperimentSpec
 from repro.cooling.options import get_cooling
-from repro.core.campaign import CampaignRunner, frequency_grid
 from repro.core.freqopt import max_frequency
 from repro.obs import get_registry
 from repro.perfsim.analytic import AnalyticModel
@@ -37,12 +36,10 @@ from repro.power.processors import get_chip
 from repro.serve.client import result_to_json
 from repro.stack.chipstack import StackConfig, flip_even_layers
 from repro.thermal.hotspot import ThermalModel, model_cache, model_for
-from repro.thermal.response import (
-    DISABLE_ENV,
-    STORE_DIR_ENV,
-    ResponseOperator,
-    response_cache,
-)
+from repro.thermal import response
+from repro.thermal.cache import BoundedCache
+from repro.thermal.response import DISABLE_ENV
+from repro.thermal.stacksolve import DieFactor, PackageFactor
 
 FAST = {"die_grid": 8, "package_grid": 4}
 
@@ -176,32 +173,40 @@ class TestServedSpecsShareModels:
 
 
 class TestOperatorMemory:
+    """The response cache's factors are the process's only operators: a
+    model keeps its temperatures and no factor, answered steps never
+    reach the factor cache, and what they return is read-only."""
+
     @pytest.mark.parametrize("store", (False, True), ids=("memory", "store"))
     def test_live_operators_are_bounded_by_the_response_cache(
             self, store, fast_params, tmp_path, monkeypatch):
+        """At most one die and one package factor per cache entry stay
+        alive (a package factor keeps its die factor). A configured
+        store directory is ignored: nothing is written there."""
+        monkeypatch.setattr(response, "_RESPONSE_CACHE",
+                            BoundedCache(4, metric="response.cache"))
         if store:
-            monkeypatch.setenv(STORE_DIR_ENV, str(tmp_path))
-        else:
-            monkeypatch.delenv(STORE_DIR_ENV, raising=False)
+            response.configure(tmp_path / "store")
         live = []
-        init = ResponseOperator.__init__
+        for cls in (DieFactor, PackageFactor):
+            def tracked(self, *args, _init=cls.__init__, **kwargs):
+                _init(self, *args, **kwargs)
+                live.append(weakref.ref(self))
 
-        def tracked(self, *args, **kwargs):
-            init(self, *args, **kwargs)
-            live.append(weakref.ref(self))
-
-        monkeypatch.setattr(ResponseOperator, "__init__", tracked)
+            monkeypatch.setattr(cls, "__init__", tracked)
         model_cache().clear()
-        response_cache().clear()
-        capacity = response_cache().capacity
         models = [model_for("low-power-cmp", h, "water", params=fast_params)
-                  for h in range(1, capacity + 3)]
+                  for h in range(1, 8)]
         for model in models:
             max_frequency(model)
         gc.collect()
-        assert sum(ref() is not None for ref in live) <= capacity
-        # the first model's operator was evicted: a step its search
-        # never probed resolves it again and answers like a new model
+        alive = [ref() for ref in live if ref() is not None]
+        assert sum(isinstance(f, PackageFactor) for f in alive) <= 4
+        assert sum(isinstance(f, DieFactor) for f in alive) <= 4
+        del alive
+        assert not (tmp_path / "store").exists()
+        # the first model's factors were evicted: a step its search
+        # never probed resolves them again and answers like a new model
         first = models[0]
         fresh = ThermalModel(first.stack, first.cooling, first.params)
         freqs = [float(f) for f in first.stack.chip.ladder.frequencies()]
@@ -209,25 +214,6 @@ class TestOperatorMemory:
         assert first.max_temperatures_many(freqs) == \
             fresh.max_temperatures_many(freqs)
         assert _moved(before, _counters(), "response.cache_miss")
-
-    @pytest.mark.parametrize("store", (False, True), ids=("memory", "store"))
-    def test_fig07_then_fig08_builds_each_operator_once_per_grid(
-            self, store, fast_params, tmp_path, monkeypatch):
-        """The two CMPs share a floorplan, so the grids visit the same
-        ten geometries, more than the response cache holds: a store
-        builds each operator once, and without one each grid builds
-        each operator once, as when every model kept its own."""
-        monkeypatch.setenv(STORE_DIR_ENV, "")
-        model_cache().clear()
-        response_cache().clear()
-        before = _counters()
-        for chip in ("low-power-cmp", "high-frequency-cmp"):
-            grid = frequency_grid(chip, (1, 2, 3, 4, 5), ("air", "water"))
-            CampaignRunner(grid, params=fast_params,
-                           response_cache_dir=tmp_path if store else None
-                           ).run(resume=False)
-        assert _moved(before, _counters(), "response.builds") == {
-            "response.builds": 10 if store else 20}
 
     def test_cached_queries_look_up_no_operator(self, fast_params):
         model = ThermalModel(StackConfig(chip=get_chip("low-power-cmp"),

@@ -284,16 +284,9 @@ class TestFlitReference:
         RouterParams(data_flits=8),
         RouterParams(num_vcs=1),
         RouterParams(vc_buffer_flits=8),
+        RouterParams(link_cycles=1),
+        RouterParams(link_cycles=2),
     ], ids=["default", "pipeline_stages", "control_flits", "data_flits",
-            "num_vcs", "vc_buffer_flits"])
+            "num_vcs", "vc_buffer_flits", "link_cycles_1", "link_cycles_2"])
     def test_packet_formula_equals_the_flit_reference(self, router):
         assert _mismatches(router) == []
-
-    def test_link_cycles_is_left_out(self):
-        """``link_cycles`` is not covered: ``FlitLink`` charges no link
-        cycle on its single hop, so at ``link_cycles=1`` the reference
-        runs one cycle short on every configuration. The system
-        configuration always uses ``DEFAULT_ROUTER`` (``link_cycles=0``)
-        and no caller sets the field."""
-        assert len(_mismatches(RouterParams(link_cycles=1))) \
-            == 2 * len(_GRID)

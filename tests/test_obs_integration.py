@@ -3,6 +3,9 @@
 from __future__ import annotations
 
 import json
+import sys
+import threading
+import time
 from dataclasses import replace
 
 import pytest
@@ -10,7 +13,8 @@ import pytest
 from repro.cli import main
 from repro.errors import ConfigurationError
 from repro.obs import get_registry, get_tracer, validate_manifest
-from repro.thermal.hotspot import ModelCache, model_cache, model_for
+from repro.thermal.cache import BoundedCache
+from repro.thermal.hotspot import model_cache, model_for
 from repro.thermal.package import DEFAULT_PACKAGE
 
 
@@ -22,7 +26,7 @@ def counter_value(name: str) -> int:
 
 class TestModelCache:
     def test_lru_eviction_order_and_bound(self):
-        cache = ModelCache(capacity=2)
+        cache = BoundedCache(2, metric="test.cache")
         built = []
 
         def factory(tag):
@@ -43,24 +47,12 @@ class TestModelCache:
         assert info.evictions == 2      # "b" then "a"
         assert info.currsize == 2 == len(cache)
 
-    def test_set_capacity_evicts_down(self):
-        cache = ModelCache(capacity=4)
-        for k in range(4):
-            cache.get_or_build((k,), lambda k=k: k)
-        cache.set_capacity(1)
-        assert len(cache) == 1
-        assert cache.cache_info().evictions == 3
-        # the survivor is the most recently used
-        assert cache.get_or_build((3,), lambda: "rebuilt") == 3
-
     def test_capacity_must_be_positive(self):
         with pytest.raises(ConfigurationError):
-            ModelCache(capacity=0)
-        with pytest.raises(ConfigurationError):
-            ModelCache(capacity=2).set_capacity(-1)
+            BoundedCache(0, metric="test.cache")
 
     def test_clear_keeps_statistics(self):
-        cache = ModelCache(capacity=2)
+        cache = BoundedCache(2, metric="test.cache")
         cache.get_or_build(("a",), lambda: 1)
         cache.clear()
         assert len(cache) == 0
@@ -79,6 +71,111 @@ class TestModelCache:
         assert model_cache().capacity >= 1
 
 
+class TestBoundedCacheBuilds:
+    """Builds run outside the cache's lock, one per key at a time. No
+    timing: gates and waits decide every ordering, and the joins'
+    timeouts only keep a broken cache from hanging the suite."""
+
+    @staticmethod
+    def _wait_for(predicate) -> None:
+        """Block until ``predicate()`` holds (bounded, for safety)."""
+        for _ in range(10_000):
+            if predicate():
+                return
+            time.sleep(0.001)
+        pytest.fail("condition never held")
+
+    def test_a_resident_key_does_not_wait_behind_a_build(self):
+        cache = BoundedCache(4, metric="test.cache")
+        cache.get_or_build("resident", lambda: "here")
+        gate, started = threading.Event(), threading.Event()
+
+        def slow():
+            started.set()
+            gate.wait()
+            return "built"
+
+        builder = threading.Thread(
+            target=lambda: cache.get_or_build("slow", slow))
+        builder.start()
+        started.wait()
+        got = []
+        reader = threading.Thread(
+            target=lambda: got.append(cache.get_or_build(
+                "resident", lambda: pytest.fail("rebuilt"))))
+        reader.start()
+        reader.join(timeout=30)
+        try:
+            assert not reader.is_alive()
+            assert got == ["here"]          # answered while slow builds
+        finally:
+            gate.set()
+            builder.join(timeout=30)
+        assert not builder.is_alive()
+        assert cache.get_or_build("slow", lambda: "again") == "built"
+
+    def _eight_callers(self, cache, factory, gate):
+        """Eight threads (more than the cores) on one cold key, with a
+        short switch interval; ``factory`` blocks on ``gate``, which
+        opens once the seven other callers wait on its build."""
+        results = [None] * 8
+        threads = [threading.Thread(
+            target=lambda i=i: results.__setitem__(
+                i, self._call(cache, factory))) for i in range(8)]
+        prior = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            self._wait_for(lambda: cache.cache_info().hits == 7)
+            gate.set()
+            for t in threads:
+                t.join(timeout=30)
+        finally:
+            gate.set()
+            sys.setswitchinterval(prior)
+        assert not any(t.is_alive() for t in threads)
+        return results
+
+    @staticmethod
+    def _call(cache, factory):
+        try:
+            return cache.get_or_build("cold", factory)
+        except RuntimeError as exc:
+            return exc
+
+    def test_eight_threads_on_a_cold_key_make_one_build(self):
+        cache = BoundedCache(4, metric="test.cache")
+        gate, calls = threading.Event(), []
+
+        def factory():
+            calls.append(1)
+            gate.wait()
+            return object()
+
+        results = self._eight_callers(cache, factory, gate)
+        assert len(calls) == 1
+        assert all(r is results[0] for r in results)
+        assert cache.cache_info().misses == 1 and len(cache) == 1
+
+    def test_a_failed_build_raises_in_every_waiter(self):
+        cache = BoundedCache(4, metric="test.cache")
+        gate, calls = threading.Event(), []
+
+        def factory():
+            calls.append(1)
+            gate.wait()
+            raise RuntimeError("build failed")
+
+        results = self._eight_callers(cache, factory, gate)
+        assert len(calls) == 1
+        assert all(isinstance(r, RuntimeError) for r in results)
+        assert len(cache) == 0
+        # nothing was cached: the next call builds
+        assert cache.get_or_build("cold", lambda: "second") == "second"
+        assert cache.cache_info().misses == 2
+
+
 # -- solver / resilience counters -------------------------------------------
 
 class TestPipelineCounters:
@@ -88,17 +185,16 @@ class TestPipelineCounters:
         from repro.stack.chipstack import StackConfig
         from repro.thermal import response_cache
         from repro.thermal.hotspot import ThermalModel
-        from repro.thermal.response import DISABLE_ENV, STORE_DIR_ENV
-        monkeypatch.delenv(STORE_DIR_ENV, raising=False)
+        from repro.thermal.response import DISABLE_ENV
         response_cache().clear()
         stack = StackConfig(chip=get_chip("low-power-cmp"), n_chips=1)
         fact0 = counter_value("thermal.splu_factorizations")
         builds0 = counter_value("response.builds")
         ThermalModel(stack, get_cooling("water"),
                      fast_params).max_temperature_c(2.0e9)
-        # A cold operator query builds the geometry's response operator
+        # A cold query builds the geometry's die and package factors
         # through the structured die-stack solve: no sparse factorization.
-        assert counter_value("response.builds") == builds0 + 1
+        assert counter_value("response.builds") == builds0 + 2
         assert counter_value("thermal.splu_factorizations") == fact0
         # The kill switch answers through the sparse solver instead.
         monkeypatch.setenv(DISABLE_ENV, "1")

@@ -1,26 +1,26 @@
-"""Superposition kernel: exactness, content addressing, store safety.
+"""Superposition kernel: the shared stack factors.
 
-The response operator's contract has three legs, each pinned here:
+The factored query's contract has three legs, each pinned here:
 
 * *exactness* — for the linear (temperature-independent) power model,
-  ``t0 + R @ p`` must match :meth:`ThermalNetwork.solve` to tight
-  tolerance for arbitrary block power vectors, any rotation schedule,
-  and every coolant;
+  a query must match :meth:`ThermalNetwork.solve` to tight tolerance
+  for arbitrary block power vectors, any rotation schedule, and every
+  coolant;
+* *sharing* — the cooling enters the network only in its package
+  block, so one die factor serves every coolant, and a cold grid builds
+  one die factor per stack height and one package factor per point;
 * *determinism* — batched and scalar queries are bitwise identical,
-  and campaign checkpoints are byte-identical whether the operator
-  store is cold, warm, or absent, at every worker count;
-* *store safety* — corrupted or truncated ``.npy`` entries are
-  quarantined to ``*.corrupt`` and transparently rebuilt, mirroring
-  the checkpoint discipline.
+  and campaign checkpoints are byte-identical at every worker count and
+  BLAS thread count.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import subprocess
 import sys
-from collections import OrderedDict
 from dataclasses import replace
 from pathlib import Path
 
@@ -30,31 +30,39 @@ import pytest
 from repro.cooling.options import get_cooling
 from repro.core.campaign import CampaignRunner, frequency_grid
 from repro.core.feedback import solve_with_leakage_feedback
+from repro.core.sweeps import h_sweep_cooling
 from repro.errors import SingularNetworkError, ThermalModelError
 from repro.obs import get_registry
 from repro.power.processors import get_chip
 from repro.stack.chipstack import StackConfig, flip_even_layers
-from repro.thermal.hotspot import ThermalModel
-from repro.thermal.network import ThermalNetwork
 from repro.thermal import response
-from repro.thermal.package import DEFAULT_PACKAGE, build_network
-from repro.thermal.response import (
-    DISABLE_ENV,
-    RESPONSE_SCHEMA_VERSION,
-    STORE_DIR_ENV,
-    ResponseCache,
-    ResponseStore,
-    block_power_vector,
-    build_response_operator,
-    geometry_digest,
-)
+from repro.thermal.hotspot import ThermalModel, model_cache
+from repro.thermal.network import ThermalNetwork
+from repro.thermal.package import (DEFAULT_PACKAGE, build_network,
+                                   build_package_network, die_layer_names)
+from repro.thermal.response import (DISABLE_ENV, block_power_vector,
+                                    configure, factor_keys, response_cache)
+from repro.thermal.stacksolve import PackageFactor
 
 ALL_COOLINGS = ("air", "water_pipe", "mineral_oil", "fluorinert", "water")
+#: Fig. 14's sweep coolants (the h values its figure script uses).
+SWEEP_H = (14.0, 60.0, 160.0, 180.0, 400.0, 800.0, 1600.0)
+
+
+def _counters() -> dict:
+    return dict(get_registry().snapshot()["counters"])
+
+
+def _moved(before: dict, prefix: str) -> dict:
+    """Counters under ``prefix`` that changed since ``before``."""
+    after = _counters()
+    return {k: after.get(k, 0) - before.get(k, 0)
+            for k in set(before) | set(after)
+            if k.startswith(prefix) and after.get(k, 0) != before.get(k, 0)}
 
 
 def _sparse_reference(stack, cooling, params, p):
     """Per-die maxima via the sparse path for an arbitrary power vector."""
-    from repro.thermal.package import build_network, die_layer_names
     network = build_network(stack, cooling, params)
     fps = stack.die_floorplans()
     nb = len(fps[0].blocks)
@@ -65,6 +73,10 @@ def _sparse_reference(stack, cooling, params, p):
         maps[die] = fp.power_map(watts, params.die_grid, params.die_grid)
     res = network.solve(maps)
     return tuple(res.max_of(d) for d in die_layer_names(stack))
+
+
+def _per_die_max(stack, t):
+    return tuple(float(row.max()) for row in t.reshape(stack.n_chips, -1))
 
 
 #: Stacks checked against the sparse solve: (height, rotation schedule,
@@ -82,7 +94,8 @@ STACK_CASES = (
 
 
 class TestExactness:
-    """R @ P against the sparse solver — the kernel's admission gate."""
+    """The factored query against the sparse solver — the kernel's
+    admission gate."""
 
     @pytest.mark.parametrize("cooling_name", ALL_COOLINGS)
     @pytest.mark.parametrize("n_chips,schedule,grids", STACK_CASES)
@@ -101,10 +114,11 @@ class TestExactness:
                   replace(fast_params, die_grid=grids[0],
                           package_grid=grids[1]))
         cooling = get_cooling(cooling_name)
-        op = build_response_operator(stack, cooling, params)
+        model = ThermalModel(stack, cooling, params)
+        n_cols = n_chips * len(chip.floorplan().blocks)
         for _ in range(3):
-            p = rng.uniform(0.0, 2.0, size=op.n_cols)
-            got = op.per_die_max(op.temperatures(p))
+            p = rng.uniform(0.0, 2.0, size=n_cols)
+            got = _per_die_max(stack, model.temperatures(p))
             want = _sparse_reference(stack, cooling, params, p)
             assert got == pytest.approx(want, abs=1e-9)
 
@@ -112,38 +126,45 @@ class TestExactness:
     def test_t0_is_the_ambient(self, cooling_name, fast_params):
         """With no power injected every die sits at the ambient."""
         stack = flip_even_layers(get_chip("low-power-cmp"), 6)
-        op = build_response_operator(stack, get_cooling(cooling_name),
-                                     fast_params)
-        np.testing.assert_allclose(op.t0, fast_params.ambient_c,
+        model = ThermalModel(stack, get_cooling(cooling_name), fast_params)
+        t0 = model.temperatures(np.zeros(block_power_vector(stack, 1e9).size))
+        np.testing.assert_allclose(t0, fast_params.ambient_c,
                                    rtol=0, atol=1e-9)
 
     def test_dies_without_a_shared_lateral_block_are_rejected(
             self, fast_params):
-        """The structured build checks the die structure instead of
-        assuming it: one die with another in-plane conductivity is a
-        network it cannot solve."""
+        """The die factor checks the die structure instead of assuming
+        it: one die with another in-plane conductivity is a network it
+        cannot solve."""
         stack = StackConfig(chip=get_chip("low-power-cmp"), n_chips=3)
-        cooling = get_cooling("water")
-        net = build_network(stack, cooling, fast_params)
+        net = build_network(stack, get_cooling("water"), fast_params)
         layers = [replace(la, k_lateral_w_mk=la.k_lateral * 1.5)
                   if la.name == "die1" else la for la in net.layers]
         odd = ThermalNetwork(layers, net.interfaces, net.boundaries)
         with pytest.raises(ThermalModelError, match="lateral"):
-            build_response_operator(stack, cooling, fast_params,
-                                    network=odd)
+            response._die_factor(stack, fast_params, odd)
 
     def test_floating_die_stack_is_singular(self, fast_params):
         """Dies with no path to the package have no steady state."""
         stack = StackConfig(chip=get_chip("low-power-cmp"), n_chips=2)
-        cooling = get_cooling("water")
-        net = build_network(stack, cooling, fast_params)
+        net = build_network(stack, get_cooling("water"), fast_params)
         dies = {"die0", "die1"}
         inside = [itf for itf in net.interfaces
                   if (itf.lower in dies) == (itf.upper in dies)]
         floating = ThermalNetwork(net.layers, inside, net.boundaries)
         with pytest.raises(SingularNetworkError):
-            build_response_operator(stack, cooling, fast_params,
-                                    network=floating)
+            response._die_factor(stack, fast_params, floating)
+
+    def test_package_of_another_geometry_is_rejected(self, fast_params):
+        """A package factor pairs only with the package its die factor
+        was read from."""
+        stack = StackConfig(chip=get_chip("low-power-cmp"), n_chips=2)
+        water = get_cooling("water")
+        die = response._die_factor(
+            stack, fast_params, build_network(stack, water, fast_params))
+        coarser = replace(fast_params, package_grid=3)
+        with pytest.raises(ThermalModelError, match="package layers"):
+            PackageFactor(die, build_package_network(stack, water, coarser))
 
     def test_ladder_queries_match_sparse_fallback(self, fast_params,
                                                   monkeypatch):
@@ -153,17 +174,17 @@ class TestExactness:
         freqs = [float(f) for f in chip.ladder.frequencies()]
 
         monkeypatch.setenv(DISABLE_ENV, "1")
+        before = _counters()
         sparse = ThermalModel(stack, cooling, fast_params)
         want = sparse.max_temperatures_many(freqs)
         want_fields = sparse.die_temperature_fields(freqs[0])
-        assert sparse.response_operator() is None
+        assert _moved(before, "response.") == {}
 
         monkeypatch.delenv(DISABLE_ENV)
-        dense = ThermalModel(stack, cooling, fast_params)
-        assert dense.response_operator() is not None
-        got = dense.max_temperatures_many(freqs)
+        factored = ThermalModel(stack, cooling, fast_params)
+        got = factored.max_temperatures_many(freqs)
         assert got == pytest.approx(want, abs=1e-9)
-        got_fields = dense.die_temperature_fields(freqs[0])
+        got_fields = factored.die_temperature_fields(freqs[0])
         for name in want_fields:
             np.testing.assert_allclose(got_fields[name],
                                        want_fields[name], atol=1e-9)
@@ -175,6 +196,9 @@ class TestExactness:
         batched = lp_water_4.max_temperatures_many(freqs)
         scalar = tuple(lp_water_4.max_temperature_c(f) for f in freqs)
         assert batched == scalar          # bitwise, not approx
+        fresh = ThermalModel(lp_water_4.stack, lp_water_4.cooling,
+                             lp_water_4.params)
+        assert tuple(fresh.max_temperature_c(f) for f in freqs) == batched
 
     def test_feedback_fixed_point_matches_sparse(self, fast_params,
                                                  monkeypatch):
@@ -197,164 +221,124 @@ class TestExactness:
                                                  abs=1e-9)
 
 
-def _digest(stack, cooling, params):
-    """:func:`geometry_digest`, checked against a recomputation that
-    bypasses its memo."""
-    digest = geometry_digest(stack, cooling, params)
-    assert digest == response._geometry_digest(stack, cooling, params)
-    return digest
+def _blocks(stack, cooling, params=DEFAULT_PACKAGE):
+    """The network's G in (die, package) order, split into blocks, and
+    the die part of its boundary source."""
+    net = build_network(stack, cooling, params)
+    m = params.die_grid ** 2
+    die_idx = np.concatenate([net.node_index(name, 0, 0) + np.arange(m)
+                              for name in die_layer_names(stack)])
+    pkg_idx = np.setdiff1d(np.arange(net.num_nodes), die_idx)
+    g = net.conductance_matrix().tocsr()
+    return ({"dd": g[die_idx][:, die_idx], "dp": g[die_idx][:, pkg_idx],
+             "pd": g[pkg_idx][:, die_idx], "pp": g[pkg_idx][:, pkg_idx]},
+            net.boundary_source()[die_idx])
 
 
-class TestGeometryDigest:
-    """Content addressing: what keys alike, what keys apart."""
+def _bitwise_equal(a, b) -> bool:
+    a, b = a.tocsr(), b.tocsr()
+    a.sort_indices()
+    b.sort_indices()
+    return (np.array_equal(a.indptr, b.indptr)
+            and np.array_equal(a.indices, b.indices)
+            and a.data.tobytes() == b.data.tobytes())
 
-    def test_same_geometry_same_digest(self, fast_params):
-        chip = get_chip("low-power-cmp")
-        a = _digest(StackConfig(chip, 3), get_cooling("water"),
-                    fast_params)
-        b = _digest(StackConfig(chip, 3), get_cooling("water"),
-                    fast_params)
-        # an equal but distinct PackageParams object
-        c = _digest(StackConfig(chip, 3), get_cooling("water"),
-                    replace(fast_params))
-        assert a == b == c
 
-    @pytest.mark.parametrize("first", ("int", "bool"))
-    def test_int_and_bool_rotation_flags_digest_apart(self, first,
-                                                      monkeypatch):
-        """``(1, 0) == (True, False)`` as a key, but the digest keeps
-        ints and bools apart; the memo must too, in either query
-        order."""
-        monkeypatch.setattr(response, "_digest_memo", OrderedDict())
-        chip = get_chip("low-power-cmp")
-        stacks = {"int": StackConfig(chip, 2, rotations=(1, 0)),
-                  "bool": StackConfig(chip, 2, rotations=(True, False))}
-        second = "bool" if first == "int" else "int"
-        digests = {k: _digest(stacks[k], get_cooling("water"),
-                              DEFAULT_PACKAGE)
-                   for k in (first, second, first)}
-        assert digests["int"] != digests["bool"]
+class TestSharingPremise:
+    """The cooling reaches only the package block of G: the premise
+    that lets one die factor serve every coolant."""
 
-    def test_geometry_changes_change_the_digest(self, fast_params,
-                                                monkeypatch):
+    @pytest.mark.parametrize("flip", (False, True), ids=("plain", "flip"))
+    @pytest.mark.parametrize("chip_name", ("low-power-cmp",
+                                           "xeon-phi-7290"))
+    def test_coolants_differ_only_in_the_package_block(self, chip_name,
+                                                       flip):
+        chip = get_chip(chip_name)
+        stack = (flip_even_layers(chip, 4) if flip
+                 else StackConfig(chip=chip, n_chips=4))
+        coolings = ([get_cooling(c) for c in ALL_COOLINGS]
+                    + [h_sweep_cooling(h) for h in SWEEP_H])
+        ref, ref_source = _blocks(stack, coolings[0])
+        package_moved = False
+        for cooling in coolings[1:]:
+            blocks, source = _blocks(stack, cooling)
+            assert _bitwise_equal(blocks["dd"], ref["dd"]), cooling.name
+            assert _bitwise_equal(blocks["dp"], ref["dp"]), cooling.name
+            assert _bitwise_equal(blocks["pd"], ref["pd"]), cooling.name
+            assert source.tobytes() == ref_source.tobytes(), cooling.name
+            package_moved |= not _bitwise_equal(blocks["pp"], ref["pp"])
+        assert package_moved
+
+    @pytest.mark.parametrize("cooling_name", ALL_COOLINGS)
+    def test_package_network_is_the_package_block(self, cooling_name):
+        """The package layers alone give the full network's package
+        block, less the die interfaces' share of its diagonal."""
+        stack = flip_even_layers(get_chip("low-power-cmp"), 3)
+        cooling = get_cooling(cooling_name)
+        blocks, _ = _blocks(stack, cooling)
+        package = build_package_network(stack, cooling)
+        die_share = -np.asarray(blocks["dp"].sum(axis=0)).ravel()
+        got = package.conductance_matrix().toarray() + np.diag(die_share)
+        want = blocks["pp"].toarray()
+        np.testing.assert_allclose(got, want, rtol=1e-12,
+                                   atol=1e-12 * np.abs(want).max())
+
+
+class TestFactorCache:
+    """Both factor kinds live in the bounded response cache, keyed by
+    value."""
+
+    def test_keys_follow_the_geometry_not_the_power_model(self,
+                                                          fast_params):
         chip = get_chip("low-power-cmp")
         water = get_cooling("water")
-        base = _digest(StackConfig(chip, 3), water, fast_params)
-        assert _digest(StackConfig(chip, 4), water, fast_params) != base
-        assert _digest(StackConfig(chip, 3), get_cooling("air"),
-                       fast_params) != base
-        assert _digest(flip_even_layers(chip, 3), water,
-                       fast_params) != base
-        coarser = replace(fast_params, die_grid=4)
-        assert _digest(StackConfig(chip, 3), water, coarser) != base
-        # operators an older builder wrote to a store (same geometry,
-        # other last bits) are never served next to new builds
-        monkeypatch.setattr("repro.thermal.response.RESPONSE_SCHEMA_VERSION",
-                            RESPONSE_SCHEMA_VERSION - 1)
-        assert _digest(StackConfig(chip, 3), water, fast_params) != base
-
-    def test_power_model_does_not_affect_the_digest(self, fast_params):
-        """Two chips sharing a floorplan share operators."""
-        chip = get_chip("low-power-cmp")
+        die, package = factor_keys(StackConfig(chip, 3), water, fast_params)
+        # an equal but distinct PackageParams object, a hotter chip and
+        # the other CMP (one floorplan) share both keys
         hotter = replace(chip, max_power_w=chip.max_power_w * 2)
-        a = _digest(StackConfig(chip, 3), get_cooling("water"),
-                    fast_params)
-        b = _digest(StackConfig(hotter, 3), get_cooling("water"),
-                    fast_params)
-        assert a == b
+        for stack, params in ((StackConfig(chip, 3), replace(fast_params)),
+                              (StackConfig(hotter, 3), fast_params),
+                              (StackConfig(get_chip("high-frequency-cmp"),
+                                           3), fast_params)):
+            assert factor_keys(stack, water, params) == (die, package)
+        # a coolant moves the package key only
+        air_die, air_package = factor_keys(StackConfig(chip, 3),
+                                           get_cooling("air"), fast_params)
+        assert air_die == die and air_package != package
+        # the die geometry moves both
+        for stack, params in ((StackConfig(chip, 4), fast_params),
+                              (flip_even_layers(chip, 3), fast_params),
+                              (StackConfig(chip, 3),
+                               replace(fast_params, die_grid=4))):
+            other_die, other_package = factor_keys(stack, water, params)
+            assert other_die != die and other_package != package
 
-
-class TestStore:
-    """The on-disk tier: atomicity, mmap loads, quarantine."""
-
-    def _build(self, fast_params, n_chips=2):
-        chip = get_chip("low-power-cmp")
-        stack = StackConfig(chip=chip, n_chips=n_chips)
-        cooling = get_cooling("water")
-        op = build_response_operator(stack, cooling, fast_params)
-        return stack, op
-
-    def test_roundtrip_is_bitwise(self, tmp_path, fast_params):
-        stack, op = self._build(fast_params)
-        store = ResponseStore(tmp_path)
-        assert store.store(op)
-        loaded = store.load(op.digest)
-        assert loaded is not None
-        assert isinstance(loaded.arr, np.memmap)
-        assert np.array_equal(np.asarray(loaded.arr), op.arr)
-        f = stack.chip.ladder.f_max_hz
-        p = block_power_vector(stack, f)
-        assert (loaded.temperatures(p) == op.temperatures(p)).all()
-
-    def test_missing_entry_is_a_miss(self, tmp_path):
-        assert ResponseStore(tmp_path).load("0" * 64) is None
-
-    @pytest.mark.parametrize("damage", ("truncate", "garbage_header"))
-    def test_corrupt_entry_quarantined_and_rebuilt(self, damage, tmp_path,
-                                                   fast_params,
-                                                   monkeypatch):
-        """Satellite: evict-and-rebuild safety (mirrors checkpoint
-        ``.corrupt`` handling)."""
-        monkeypatch.setenv(STORE_DIR_ENV, str(tmp_path))
-        chip = get_chip("low-power-cmp")
-        stack = StackConfig(chip=chip, n_chips=2)
-        cooling = get_cooling("water")
-        digest = geometry_digest(stack, cooling, fast_params)
-
-        def factory():
-            return build_response_operator(stack, cooling, fast_params)
-
-        reference = ResponseCache(capacity=4).get_or_build(digest, factory)
-        npy = tmp_path / f"{digest}.npy"
-        assert npy.exists()
-
-        if damage == "truncate":
-            npy.write_bytes(npy.read_bytes()[:200])
-        else:
-            npy.write_bytes(b"not a numpy file at all")
-
-        before = get_registry().snapshot()["counters"].get(
-            "response.disk_corrupt", 0)
-        rebuilt = ResponseCache(capacity=4).get_or_build(digest, factory)
-
-        # quarantined, counted, and rebuilt with the right answer
-        assert (tmp_path / f"{digest}.npy.corrupt").exists()
-        after = get_registry().snapshot()["counters"]["response.disk_corrupt"]
-        assert after == before + 1
-        assert np.array_equal(np.asarray(rebuilt.arr),
-                              np.asarray(reference.arr))
-        # ... and the store was rewritten: a third cache disk-hits
-        assert ResponseStore(tmp_path).load(digest) is not None
-
-    def test_lru_evicts_and_counts(self, fast_params, monkeypatch):
-        monkeypatch.delenv(STORE_DIR_ENV, raising=False)
-        cache = ResponseCache(capacity=1)
-        chip = get_chip("low-power-cmp")
-        cooling = get_cooling("water")
-        stacks = [StackConfig(chip=chip, n_chips=n) for n in (1, 2)]
-        for stack in stacks:
-            cache.get_or_build(
-                geometry_digest(stack, cooling, fast_params),
-                lambda s=stack: build_response_operator(s, cooling,
-                                                        fast_params))
-        hits, misses, evictions, capacity, currsize = cache.cache_info()
-        assert (misses, evictions, currsize) == (2, 1, 1)
-        # re-fetching the resident entry is a pure memory hit
-        cache.get_or_build(
-            geometry_digest(stacks[1], cooling, fast_params),
-            lambda: pytest.fail("must not rebuild a resident operator"))
-        assert cache.cache_info()[0] == hits + 1
+    def test_a_cold_grid_builds_one_die_factor_per_height(self,
+                                                          fast_params):
+        """A 50-point grid (h 1-10 x five coolants) builds 10 die
+        factors and 50 package factors, and again after both caches
+        are emptied: nothing outside them keeps a factor."""
+        points = frequency_grid("low-power-cmp", tuple(range(1, 11)),
+                                ALL_COOLINGS)
+        assert len(points) == 50
+        for _ in range(2):
+            model_cache().clear()
+            response_cache().clear()
+            before = _counters()
+            CampaignRunner(points, params=fast_params).run(resume=False)
+            builds = _moved(before, "response.")
+            assert builds["response.die_builds"] == 10
+            assert builds["response.package_builds"] == 50
+            assert builds["response.builds"] == 60
 
 
 class TestCheckpointByteIdentity:
-    """Acceptance: cache on/off and every worker count, same bytes."""
+    """Acceptance: every worker count, the same bytes."""
 
     def _run(self, tmp_path, fast_params, name, *, workers,
              store_dir=None):
-        from repro.thermal.hotspot import model_cache
-        from repro.thermal.response import response_cache
         model_cache().clear()
-        response_cache().clear()   # force every run through the store
+        response_cache().clear()
         points = frequency_grid("low-power-cmp", (1, 2), ("water", "air"))
         ck = tmp_path / f"{name}.json"
         CampaignRunner(points, checkpoint_path=ck, params=fast_params,
@@ -365,33 +349,27 @@ class TestCheckpointByteIdentity:
         return json.dumps(data, sort_keys=False)
 
     def test_workers_and_store_do_not_change_the_bytes(self, tmp_path,
-                                                       fast_params,
-                                                       monkeypatch):
-        monkeypatch.setenv(STORE_DIR_ENV, "")   # baseline: no disk store
+                                                       fast_params):
+        """A ``response_cache_dir`` is accepted and ignored: nothing is
+        written there, and the bytes do not change."""
         baseline = self._run(tmp_path, fast_params, "plain", workers=1)
         store = tmp_path / "opstore"
+        configure(store)
         for workers in (1, 2, 4):
             got = self._run(tmp_path, fast_params, f"w{workers}",
                             workers=workers, store_dir=store)
             assert got == baseline, (
-                f"checkpoint bytes diverged at workers={workers} "
-                f"with a {'warm' if workers > 1 else 'cold'} "
-                f"operator store")
-        # the store was actually exercised
-        assert list(store.glob("*.npy"))
+                f"checkpoint bytes diverged at workers={workers}")
+        assert not store.exists()
 
-    def test_campaign_answers_do_not_depend_on_blas_threads(
-            self, monkeypatch):
+    def test_campaign_answers_do_not_depend_on_blas_threads(self):
         """The engine runs its points at one BLAS thread; the same
         points evaluated one by one outside it, with every OpenBLAS at
-        two threads (default package grids, so the matvec threads),
-        give the same answers."""
+        two threads (default package grids, so the package factors
+        thread if anything does), give the same answers."""
         from repro.core.campaign import evaluate_point
         from repro.parallel import blas_threads, set_blas_threads
         from repro.resilience import ResilienceOptions
-        from repro.thermal.hotspot import model_cache
-        from repro.thermal.response import response_cache
-        monkeypatch.delenv(STORE_DIR_ENV, raising=False)
         points = frequency_grid("low-power-cmp", (1, 6), ("water", "air"))
 
         def answers(records):
@@ -432,9 +410,10 @@ class TestCheckpointByteIdentity:
             _unit_power_basis(rotate_180(fp), 16)
 
     def test_operator_bits_do_not_depend_on_blas_threads(self):
-        """Stores and checkpoints stay byte-identical across hosts whose
-        BLAS runs another number of threads (default package grids, so
-        the package solve is big enough for BLAS to thread)."""
+        """Checkpoints stay byte-identical across hosts whose BLAS runs
+        another number of threads: the SHA-256 of factored queries
+        (default package grids, so the package factorization is big
+        enough for BLAS to thread) is the same at one and two."""
         import repro
         src = str(Path(repro.__file__).resolve().parents[1])
         code = (
@@ -442,10 +421,17 @@ class TestCheckpointByteIdentity:
             "from repro.cooling.options import get_cooling\n"
             "from repro.power.processors import get_chip\n"
             "from repro.stack.chipstack import flip_even_layers\n"
-            "from repro.thermal.response import build_response_operator\n"
-            "op = build_response_operator(flip_even_layers(\n"
-            "    get_chip('low-power-cmp'), 3), get_cooling('water'))\n"
-            "print(hashlib.sha256(op.arr.tobytes()).hexdigest())\n")
+            "from repro.thermal.hotspot import ThermalModel\n"
+            "from repro.thermal.response import block_power_vector\n"
+            "chip = get_chip('low-power-cmp')\n"
+            "stack = flip_even_layers(chip, 3)\n"
+            "digest = hashlib.sha256()\n"
+            "for cooling in ('water', 'water_pipe'):\n"
+            "    model = ThermalModel(stack, get_cooling(cooling))\n"
+            "    for f in chip.ladder.frequencies():\n"
+            "        p = block_power_vector(stack, float(f))\n"
+            "        digest.update(model.temperatures(p).tobytes())\n"
+            "print(digest.hexdigest())\n")
         digests = []
         for threads in ("1", "2"):
             env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
@@ -455,3 +441,4 @@ class TestCheckpointByteIdentity:
                                  timeout=120, check=True)
             digests.append(out.stdout.strip())
         assert digests[0] == digests[1]
+        assert len(digests[0]) == len(hashlib.sha256().hexdigest())

@@ -23,6 +23,7 @@ import json
 import pytest
 
 from repro.core.campaign import (
+    CHECKPOINT_VERSION,
     CampaignRunner,
     LedgerEntry,
     PointRecord,
@@ -359,8 +360,9 @@ class TestCheckpointRecovery:
         ck = tmp_path / "c.json"
         _run(grid, ck)
         info = verify_checkpoint(ck)
-        assert info == {"version": 2, "points": len(grid),
-                        "ledger_entries": 0, "checksum_ok": True}
+        assert info == {"version": CHECKPOINT_VERSION,
+                        "points": len(grid), "ledger_entries": 0,
+                        "checksum_ok": True}
         with pytest.raises(CheckpointError):
             verify_checkpoint(tmp_path / "missing.json")
 

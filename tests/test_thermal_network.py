@@ -344,33 +344,3 @@ class TestNonFinitePowerGuard:
             net.solve({"slab": bad})
 
 
-class TestSolveMany:
-    def test_matches_column_by_column(self):
-        """One (n, k) block through the factor == k separate solves."""
-        net = simple_network()
-        rng = np.random.default_rng(7)
-        powers = [{"slab": rng.uniform(0.0, 2.0, (4, 4))}
-                  for _ in range(5)]
-        batched = net.solve_many(powers)
-        assert len(batched) == len(powers)
-        for maps, res in zip(powers, batched):
-            single = net.solve(maps)
-            np.testing.assert_allclose(res.layer("slab"),
-                                       single.layer("slab"),
-                                       rtol=0, atol=1e-12)
-
-    def test_empty_batch(self):
-        assert simple_network().solve_many([]) == []
-
-    def test_single_item_batch_matches_solve(self):
-        net = simple_network()
-        maps = {"slab": np.ones((4, 4))}
-        np.testing.assert_allclose(
-            net.solve_many([maps])[0].layer("slab"),
-            net.solve(maps).layer("slab"), rtol=0, atol=1e-12)
-
-    def test_batch_shares_input_guards(self):
-        net = simple_network()
-        bad = np.ones((4, 4)); bad[0, 0] = np.nan
-        with pytest.raises(ThermalModelError, match="non-finite"):
-            net.solve_many([{"slab": np.ones((4, 4))}, {"slab": bad}])
