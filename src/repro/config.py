@@ -21,6 +21,7 @@ from .errors import ConfigurationError
 from .perfsim.npb import NPB_ORDER
 from .perfsim.system import config_for_stack
 from .power.processors import get_chip
+from .stack.chipstack import check_stack_height
 
 #: A dataclass's resolved field annotations (resolving them costs more
 #: than the rest of a parse).
@@ -140,6 +141,7 @@ class ExperimentSpec:
         times for a chip whose cores do not fit the mesh."""
         if self.n_chips < 1:
             raise ConfigurationError("n_chips must be >= 1")
+        check_stack_height(self.n_chips)
         if self.threads is not None and self.threads < 1:
             raise ConfigurationError("threads must be >= 1")
         chip = get_chip(self.chip)

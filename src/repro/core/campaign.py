@@ -53,6 +53,7 @@ from ..perfsim.npb import NPB_ORDER
 from ..perfsim.system import config_for_stack
 from ..power.processors import get_chip
 from ..resilience import ResilienceOptions
+from ..stack.chipstack import check_stack_height
 from ..thermal.package import DEFAULT_PACKAGE, PackageParams
 from .freqopt import OperatingPoint
 from .point import evaluate
@@ -162,6 +163,7 @@ class CampaignPoint:
                 f"unknown campaign point kind {self.kind!r}")
         if self.n_chips < 1:
             raise ConfigurationError("n_chips must be >= 1")
+        check_stack_height(self.n_chips)
         # The stable checkpoint key, computed once (the runner, the
         # parallel engine's seed derivation, and the ledger all key on
         # it repeatedly). Not a dataclass field, so ``asdict`` — and

@@ -16,6 +16,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from ..cooling.options import CoolingOption, get_cooling
+from ..errors import ConfigurationError
 from ..obs import span
 from ..power.processors import get_chip
 from ..stack.chipstack import StackConfig, flip_even_layers
@@ -113,7 +114,12 @@ def frequency_vs_chips(chip_name: str, chips: tuple[int, ...],
     :mod:`repro.parallel` pool; the returned series are identical at
     every worker count (the points share nothing, and a resilient
     sweep's fault streams are drawn per point).
+
+    Raises:
+        ConfigurationError: ``chips`` is empty.
     """
+    if not chips:
+        raise ConfigurationError("need at least one stack height")
     if resilience is not None:
         from .campaign import CampaignRunner, frequency_grid
         result = CampaignRunner(

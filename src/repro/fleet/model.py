@@ -42,6 +42,7 @@ from ..config import (fields_from_dict, fields_to_dict,
 from ..cooling.options import cooling_names
 from ..errors import ConfigurationError
 from ..power.processors import chip_names, get_chip
+from ..stack.chipstack import check_stack_height
 from ..thermal.coolants import WATER
 
 __all__ = ["FleetConfig", "FleetScenario"]
@@ -116,6 +117,7 @@ class FleetConfig:
                 f"{', '.join(chip_names())}")
         if self.n_chips < 1:
             raise ConfigurationError("need at least one chip per board")
+        check_stack_height(self.n_chips)
         if self.cooling not in cooling_names():
             raise ConfigurationError(
                 f"unknown cooling {self.cooling!r}; expected one of "

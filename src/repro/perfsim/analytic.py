@@ -64,15 +64,18 @@ def _imbalance_factor(cv: float, threads: int) -> float:
 
     For N unit-mean log-normals with coefficient of variation cv,
     E[max] ~= exp(sigma * Phi^{-1}(N/(N+1)) - sigma^2/2); we use the
-    standard extreme-value approximation. Memoized: the normal quantile
-    is the analytic tier's one costly step, and it depends only on the
-    thread count.
+    standard extreme-value approximation. The normal quantile
+    Phi^{-1} is ``scipy.special.ndtri``, the function
+    ``scipy.stats.norm.ppf`` evaluates, imported on first use (the
+    program needs nothing else of ``scipy.stats``, whose import costs
+    far more). Memoized: the quantile is the analytic tier's one
+    costly step, and it depends only on the thread count.
     """
     if cv <= 0 or threads == 1:
         return 1.0
-    from scipy.stats import norm
+    from scipy.special import ndtri
     sigma = float(np.sqrt(np.log(1.0 + cv * cv)))
-    q = norm.ppf(threads / (threads + 1.0))
+    q = ndtri(threads / (threads + 1.0))
     return float(np.exp(sigma * q - 0.5 * sigma * sigma))
 
 

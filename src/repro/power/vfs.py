@@ -10,7 +10,8 @@ so the maximum frequency at supply voltage V is
 
 with K fixed by anchoring f(Vdd_max) = f_max. Inverting f -> V has no
 closed form for general alpha; the mapping is strictly increasing on
-(Vth, inf), so we invert with scalar bisection (scipy.optimize.brentq).
+(Vth, inf), so we invert it with Brent's bracketing root find
+(:func:`brentq`, an in-tree port of scipy's).
 
 Power at an operating point splits into
 
@@ -26,17 +27,87 @@ temperature coefficient.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import Callable
 
 import numpy as np
-from scipy.optimize import brentq
 
 from ..errors import VFSRangeError
 from .technology import Technology
 
 #: ``(curve, frequency)`` pairs whose supply voltage is kept.
 VOLTAGE_MEMO_SIZE = 1024
+
+#: scipy's default relative tolerance for ``brentq`` (a Python float:
+#: numpy scalars would carry into the iterates and into ``f``'s argument)
+_BRENTQ_RTOL = 4 * float(np.finfo(float).eps)
+
+
+def brentq(f: Callable[[float], float], a: float, b: float, *,
+           xtol: float, maxiter: int = 100) -> float:
+    """A root of ``f`` in the bracket ``[a, b]`` by Brent's method.
+
+    The same floating-point operations, in the same order, as
+    ``scipy.optimize.brentq`` (its C kernel ``brentq.c`` and the NaN
+    check of its Python wrapper), with scipy's default ``rtol`` and
+    ``maxiter``, so it returns the same float. It lives here because
+    importing ``scipy.optimize`` for one scalar root find loads
+    hundreds of modules into every process that touches the power
+    model.
+
+    Raises:
+        ValueError: ``f(a)`` and ``f(b)`` have the same sign, or ``f``
+            returned NaN.
+        RuntimeError: no convergence within ``maxiter`` iterations.
+    """
+    def call(x: float) -> float:
+        fx = float(f(x))
+        if math.isnan(fx):
+            raise ValueError(f"The function value at x={x} is NaN; "
+                             "solver cannot continue.")
+        return fx
+
+    xpre, xcur = float(a), float(b)
+    xblk = fblk = spre = scur = 0.0
+    fpre, fcur = call(xpre), call(xcur)
+    if fpre == 0:
+        return xpre
+    if fcur == 0:
+        return xcur
+    if (fpre < 0) == (fcur < 0):
+        raise ValueError("f(a) and f(b) must have different signs")
+    for _ in range(maxiter):
+        if fpre != 0 and fcur != 0 and (fpre < 0) != (fcur < 0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + _BRENTQ_RTOL * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:                                # interpolate
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:                                           # extrapolate
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = (-fcur * (fblk * dblk - fpre * dpre)
+                        / (dblk * dpre * (fblk - fpre)))
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+                spre, scur = scur, stry                     # short step
+            else:
+                spre = scur = sbis                          # bisect
+        else:
+            spre = scur = sbis                              # bisect
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0
+                                                else -delta)
+        fcur = call(xcur)
+    raise RuntimeError(f"Failed to converge after {maxiter} iterations.")
 
 
 @dataclass(frozen=True)
@@ -75,10 +146,13 @@ class VFSCurve:
         few ladder steps.
 
         Raises:
-            VFSRangeError: if the frequency demands a voltage outside
-                [vdd_min, vdd_max] (no extrapolation).
+            VFSRangeError: if the frequency is not finite and positive,
+                or demands a voltage outside [vdd_min, vdd_max] (no
+                extrapolation).
         """
         t = self.tech
+        if not math.isfinite(f_hz):
+            raise VFSRangeError(f"frequency must be finite, got {f_hz}")
         if f_hz <= 0:
             raise VFSRangeError(f"frequency must be positive, got {f_hz}")
         f_at_min = self.frequency_at(t.vdd_min_v)

@@ -15,6 +15,19 @@ from ..errors import ConfigurationError
 from ..floorplan import Floorplan, rotate_180
 from ..power.processors import ChipSpec
 
+#: Tallest stack the thermal model is built for: more than twice the
+#: paper's tallest (15). A die factor holds ``die_grid**2 * n_chips**2``
+#: doubles of Green's functions, so without a cap one request could
+#: make the model allocate gigabytes (about 8 GB at 2,000 chips).
+MAX_STACK_CHIPS = 32
+
+
+def check_stack_height(n_chips: int) -> None:
+    """Refuse a stack taller than :data:`MAX_STACK_CHIPS`."""
+    if n_chips > MAX_STACK_CHIPS:
+        raise ConfigurationError(
+            f"n_chips must be at most {MAX_STACK_CHIPS}, got {n_chips}")
+
 
 @dataclass(frozen=True)
 class StackConfig:
@@ -22,7 +35,8 @@ class StackConfig:
 
     Attributes:
         chip: the chip replicated in every layer.
-        n_chips: stack height (the paper sweeps 1..15).
+        n_chips: stack height (the paper sweeps 1..15; at most
+            :data:`MAX_STACK_CHIPS`).
         rotations: per-die rotation flags, bottom first; True means the
             die's floorplan is rotated 180 degrees. Defaults to no
             rotation. Length must equal ``n_chips``.
@@ -37,6 +51,7 @@ class StackConfig:
             raise ConfigurationError(
                 f"stack needs at least one chip, got {self.n_chips}"
             )
+        check_stack_height(self.n_chips)
         if self.rotations and len(self.rotations) != self.n_chips:
             raise ConfigurationError(
                 f"rotation schedule length {len(self.rotations)} does not "

@@ -51,7 +51,7 @@ from .response import (
     response_cache,
     response_enabled,
 )
-from .stacksolve import DieFactor, PackageFactor
+from .stacksolve import DieFactor, PackageBlock, PackageFactor
 
 __all__ = [
     "Coolant",
@@ -98,6 +98,7 @@ __all__ = [
     "BoundedCache",
     "CacheInfo",
     "DieFactor",
+    "PackageBlock",
     "PackageFactor",
     "block_power_vector",
     "response_cache",

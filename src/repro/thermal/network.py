@@ -14,7 +14,9 @@ factorization are separate, lazy steps: :meth:`conductance_matrix`,
 (the structured die-stack solver in :mod:`repro.thermal.stacksolve`
 reads G and needs nothing more), while the first :meth:`solve`
 factorizes G once (sparse LU via ``scipy.sparse.linalg.splu``) and
-re-uses the factor for every later power vector.
+re-uses the factor for every later power vector. ``scipy.sparse.linalg``
+is imported by the first factorization, so a process that only ever
+runs the structured solve never loads it.
 """
 
 from __future__ import annotations
@@ -23,11 +25,20 @@ import time
 
 import numpy as np
 from scipy.sparse import coo_matrix, csc_matrix
-from scipy.sparse.linalg import splu
 
 from ..errors import SingularNetworkError, ThermalModelError
 from ..obs import counter, histogram, span
 from .layers import Boundary, GridLayer, Interface, overlap_matrix
+
+
+def splu(a):
+    """``scipy.sparse.linalg.splu(a)``, imported on first use.
+
+    Only the sparse reference path and the transient solver factorize,
+    so a process on the structured solve never loads that module.
+    """
+    from scipy.sparse.linalg import splu as sparse_lu
+    return sparse_lu(a)
 
 
 class ThermalResult:

@@ -49,6 +49,15 @@ if TYPE_CHECKING:  # avoid a circular import; only needed for annotations
     from ..cooling.options import CoolingOption
 
 
+#: Finest die grid the thermal model is built for (the finest any
+#: caller uses is 24). A die factor forms a dense ``die_grid**2``-square
+#: lateral block: 134 MB at 64.
+MAX_DIE_GRID = 32
+#: Finest package grid (the default is 8). A package factor forms a
+#: dense ``(4 * package_grid**2)``-square Schur complement: 134 MB at 32.
+MAX_PACKAGE_GRID = 16
+
+
 @dataclass(frozen=True)
 class PackageParams:
     """Geometry and calibration constants of the package model.
@@ -134,6 +143,13 @@ class PackageParams:
                 raise ConfigurationError(
                     f"package parameter {label} must be positive, got {v}"
                 )
+        for name, v, most in (("die_grid", self.die_grid, MAX_DIE_GRID),
+                              ("package_grid", self.package_grid,
+                               MAX_PACKAGE_GRID)):
+            if v > most:
+                raise ConfigurationError(
+                    f"package parameter {name} must be at most {most}, "
+                    f"got {v}")
 
     @property
     def sink_area_m2(self) -> float:

@@ -13,13 +13,17 @@ factors, neither of which ever factorizes G:
   power model (two chips sharing a floorplan share it) and not the
   cooling, which enters only at the package boundary;
 * a :class:`~repro.thermal.stacksolve.PackageFactor` per (die stack,
-  cooling option), built from the die factor and the coolant's package
-  layers alone.
+  cooling option), built from the die factor and the coolant's
+  :class:`~repro.thermal.stacksolve.PackageBlock`;
+* that block, the coolant's package layers alone, per (die outline,
+  cooling option, :class:`~repro.thermal.package.PackageParams`): the
+  package network does not depend on the stack height.
 
-So a Figs. 7/8 grid pays one die factor per stack height and one small
-package factor per point, and a Fig. 14 h sweep one die factor per chip
-and one package factor per h. Both factor kinds live in the bounded
-process-wide :func:`response_cache`, keyed by value as
+So a Figs. 7/8 grid pays one die factor per stack height, one package
+block per coolant and one small package factor per point, and a
+Fig. 14 h sweep one die factor per chip and one package block and
+package factor per h. All three live in the bounded process-wide
+:func:`response_cache`, keyed by value as
 :func:`~repro.thermal.hotspot.model_for` keys models; models hold the
 temperatures they computed but no factor, so that cache alone bounds
 the factors' memory.
@@ -45,7 +49,7 @@ from ..stack.chipstack import StackConfig
 from .cache import BoundedCache
 from .network import ThermalNetwork
 from .package import PackageParams, build_package_network, die_layer_names
-from .stacksolve import DieFactor, PackageFactor
+from .stacksolve import DieFactor, PackageBlock, PackageFactor
 
 if TYPE_CHECKING:  # avoid a circular import; only needed for annotations
     from ..cooling.options import CoolingOption
@@ -67,14 +71,16 @@ __all__ = [
 #: time the pre-kernel baseline.
 DISABLE_ENV = "REPRO_RESPONSE_DISABLE"
 
-#: Factors the process-wide response cache keeps. It must hold a grid's
-#: die factors across its coolants: :func:`~repro.core.campaign.
-#: frequency_grid` is coolant-major, so a die factor comes back after
-#: every other height's die and package factor (2 x 15 - 1 entries on
-#: the Figs. 7/8 grids). At h = 15 a die factor is 1.1-1.6 MB (the
-#: Xeon Phi's 112 blocks the most) and a package factor 0.53 MB, and a
-#: package factor keeps its die factor alive, so the worst case is
-#: 64 x 2.1 MB.
+#: Factors and package blocks the process-wide response cache keeps. It
+#: must hold a grid's die factors across its coolants:
+#: :func:`~repro.core.campaign.frequency_grid` is coolant-major, so a
+#: die factor comes back after every other height's die and package
+#: factor and a package block or two (2 x 15 + 1 entries on the
+#: Figs. 7/8 grids). At h = 15 a die factor is 1.1-1.6 MB (the Xeon
+#: Phi's 112 blocks the most) and a package factor 0.53 MB, and a
+#: package factor keeps its die factor alive; a package block is
+#: 0.53 MB and keeps nothing else alive. At the default grids the worst
+#: case is therefore 64 x 2.1 MB.
 RESPONSE_CACHE_CAPACITY = 64
 
 T = TypeVar("T")
@@ -217,7 +223,7 @@ def stack_factor(stack: StackConfig, cooling: "CoolingOption",
 
     Resolved through :func:`response_cache`: on a miss the package
     factor is built from the resident (or newly built) die factor and
-    the coolant's package layers.
+    the coolant's resident (or newly assembled) package block.
 
     Args:
         stack, cooling, params: the geometry.
@@ -233,12 +239,17 @@ def stack_factor(stack: StackConfig, cooling: "CoolingOption",
                                                        network()),
                             dies=stack.n_chips)
 
+    def build_block() -> PackageBlock:
+        return PackageBlock(build_package_network(stack, cooling, params))
+
     def build_package() -> PackageFactor:
         die = cache.get_or_build(die_key, build_die)
+        block_key = FactorKey("package block",
+                              stack.chip.floorplan().outline, cooling, params)
         return _timed_build(
             "package",
-            lambda: PackageFactor(die, build_package_network(stack, cooling,
-                                                             params)),
+            lambda: PackageFactor(die, cache.get_or_build(block_key,
+                                                          build_block)),
             dies=stack.n_chips, cooling=cooling.name)
 
     return cache.get_or_build(package_key, build_package)

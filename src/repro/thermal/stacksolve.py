@@ -29,9 +29,11 @@ under every coolant, so the solve comes in two factors:
 * :class:`DieFactor`, one per die stack, read off any coolant's
   assembled network;
 * :class:`PackageFactor`, one per coolant, ``S`` assembled from the die
-  factor and the coolant's package layers alone
-  (:func:`~repro.thermal.package.build_package_network`) and factored
-  by LAPACK's symmetric ``dsytrf``.
+  factor and the coolant's :class:`PackageBlock` and factored by
+  LAPACK's symmetric ``dsytrf``. The block, the coolant's package
+  layers alone (:func:`~repro.thermal.package.build_package_network`),
+  depends on the die outline but not on the stack height, so every
+  height under one coolant shares it.
 
 A query (:meth:`PackageFactor.temperatures`) pushes one block-power
 vector through both: per die the unit-power basis in modes times its
@@ -218,28 +220,47 @@ class DieFactor:
         return out
 
 
+class PackageBlock:
+    """One coolant's package network, assembled once and read-only.
+
+    Args:
+        package: the coolant's package layers alone
+            (:func:`~repro.thermal.package.build_package_network`): the
+            package block of the full network, less the die interfaces'
+            share of its diagonal, which a :class:`DieFactor` carries.
+    """
+
+    def __init__(self, package: ThermalNetwork) -> None:
+        #: the dense conductance ``G_pkg`` (Fortran order, as LAPACK
+        #: takes ``S``)
+        self.g = package.conductance_matrix().toarray(order="F")
+        #: the boundary source ``B T_amb`` of the package nodes
+        self.source = package.boundary_source()
+        for a in (self.g, self.source):
+            a.setflags(write=False)
+        #: ``(name, cells)`` of the package layers, in node order
+        self.layers = _package_layers(package)
+
+
 class PackageFactor:
     """One coolant's package solve on top of a shared :class:`DieFactor`.
 
     Args:
         die: the stack's die factor.
-        package: the coolant's package layers alone
-            (:func:`~repro.thermal.package.build_package_network`): the
-            package block of the full network, less the die interfaces'
-            share of its diagonal, which ``die`` carries.
+        block: the coolant's package block.
 
     Raises:
-        ThermalModelError: ``package`` has other layers than the
-            package ``die`` was read from.
+        ThermalModelError: ``block`` has other layers than the package
+            ``die`` was read from.
         SingularNetworkError: the package Schur complement is singular.
     """
 
-    def __init__(self, die: DieFactor, package: ThermalNetwork) -> None:
-        if _package_layers(package) != die.package_layers:
+    def __init__(self, die: DieFactor, block: PackageBlock) -> None:
+        if block.layers != die.package_layers:
             raise ThermalModelError(
-                f"package layers {_package_layers(package)} do not match "
-                f"the die factor's {die.package_layers}")
-        s = package.conductance_matrix().toarray(order="F")
+                f"package layers {block.layers} do not match the die "
+                f"factor's {die.package_layers}")
+        s = block.g.copy(order="F")
         s -= die.w
         lwork = int(dsytrf_lwork(s.shape[0])[0])
         self._lu, self._ipiv, info = dsytrf(s, lwork=lwork, overwrite_a=True)
@@ -247,7 +268,7 @@ class PackageFactor:
             raise SingularNetworkError(
                 "package Schur complement is singular; check that every "
                 "layer is connected to a boundary")
-        self._source = package.boundary_source()
+        self._source = block.source
         #: the die factor this package solve was built on
         self.die = die
 

@@ -22,10 +22,9 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.sparse import diags
-from scipy.sparse.linalg import splu
 
 from ..errors import ThermalModelError
-from .network import ThermalNetwork, ThermalResult
+from .network import ThermalNetwork, ThermalResult, splu
 
 
 @dataclass(frozen=True)

@@ -13,7 +13,8 @@ from repro.core.sweeps import (
     temperature_vs_h,
     thermal_maps,
 )
-from repro.errors import InfeasibleError
+from repro.cli import main
+from repro.errors import ConfigurationError, InfeasibleError
 from repro.perfsim.npb import NPB_ORDER
 from repro.units import ghz
 
@@ -95,6 +96,18 @@ class TestFrequencySweeps:
         (s,) = frequency_vs_chips("low-power-cmp", (1, 2, 10),
                                   ("air",), params=fast_params)
         assert s.feasible_up_to() <= 2 or s.feasible_up_to() == 10
+
+    def test_no_heights_is_refused(self):
+        with pytest.raises(ConfigurationError, match="stack height"):
+            frequency_vs_chips("low-power-cmp", (), ("water",))
+
+    @pytest.mark.parametrize("max_chips", ("0", "-3"))
+    def test_repro_sweep_without_heights_exits_2(self, max_chips, capsys):
+        assert main(["sweep", "--max-chips", max_chips]) == 2
+        captured = capsys.readouterr()
+        err = captured.err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+        assert captured.out == ""
 
 
 class TestHSweep:

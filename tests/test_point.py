@@ -7,7 +7,8 @@
   are asked for, before any thermal work; asked for the frequency
   alone, it answers like a campaign frequency point;
 * a bad spec is refused at the boundary: ``from_dict``, ``POST
-  /submit`` and ``repro spec``.
+  /submit`` and ``repro spec``; so is a geometry past the caps on
+  stack height and grid resolution.
 """
 
 from __future__ import annotations
@@ -37,7 +38,10 @@ from repro.serve import (
     ServeHTTPServer,
     run_spec_resilient,
 )
-from repro.thermal.package import DEFAULT_PACKAGE
+from repro.fleet.model import FleetConfig, FleetScenario
+from repro.stack.chipstack import MAX_STACK_CHIPS, StackConfig
+from repro.thermal.package import (DEFAULT_PACKAGE, MAX_DIE_GRID,
+                                   MAX_PACKAGE_GRID, PackageParams)
 
 FAST = {"die_grid": 8, "package_grid": 4}
 PHI = "xeon-phi-7290"
@@ -177,6 +181,11 @@ BAD_SPECS = {
     "unknown-override": ({"package_overrides": {"nope": 1}}, "nope"),
     "float-grid": ({"package_overrides": {"die_grid": 8.0}}, "die_grid"),
     "phi-npb": ({"chip": PHI}, PHI),
+    "tall-stack": ({"n_chips": MAX_STACK_CHIPS + 1}, "n_chips"),
+    "fine-die-grid": ({"package_overrides": {"die_grid": MAX_DIE_GRID + 1}},
+                      "die_grid"),
+    "fine-package-grid": ({"package_overrides": {
+        "package_grid": MAX_PACKAGE_GRID + 1}}, "package_grid"),
 }
 
 
@@ -211,11 +220,14 @@ class TestBoundary:
         server.serve_in_thread()
         client = HttpServeClient(server.url)
         failed = broker.stats()["failed_total"]
+        requests = broker.stats()["requests_total"]
         try:
             for case in sorted(BAD_SPECS):
                 spec, match = _spec_dict(case)
-                with pytest.raises(ServeError, match=match):
+                with pytest.raises(ServeError, match=rf"\(400\).*{match}"):
                     client.submit(spec)
+            # refused before anything is queued
+            assert broker.stats()["requests_total"] == requests
             # after the integer height is cached, the float one is
             # still refused rather than answered from the cache
             good = {"chip": "low-power-cmp", "n_chips": 2,
@@ -231,6 +243,37 @@ class TestBoundary:
             server.shutdown()
             server.server_close()
             broker.shutdown(drain=True)
+
+    def test_geometry_caps(self):
+        """32 chips, a 32-cell die grid and a 16-cell package grid are
+        built; one more of any is refused, naming the field."""
+        assert (MAX_STACK_CHIPS, MAX_DIE_GRID, MAX_PACKAGE_GRID) == \
+            (32, 32, 16)
+        chip = get_chip("low-power-cmp")
+        ExperimentSpec(chip="low-power-cmp", n_chips=32, benchmarks=(),
+                       package_overrides={"die_grid": 32,
+                                          "package_grid": 16})
+        StackConfig(chip=chip, n_chips=32)
+        FleetConfig(n_chips=32)
+        PackageParams(die_grid=32, package_grid=16)
+        for build, field in (
+                (lambda: StackConfig(chip=chip, n_chips=33), "n_chips"),
+                (lambda: PackageParams(die_grid=33), "die_grid"),
+                (lambda: PackageParams(package_grid=17), "package_grid")):
+            with pytest.raises(ConfigurationError, match=field):
+                build()
+
+    def test_fleet_scenario_refuses_a_tall_stack(self):
+        with pytest.raises(ConfigurationError, match="n_chips"):
+            FleetScenario.from_dict({"kind": "fleet",
+                                     "fleet": {"n_chips": 33}})
+
+    def test_repro_freq_refuses_a_tall_stack(self, capsys):
+        assert main(["freq", "--chip", "low-power-cmp", "--chips", "33",
+                     "--cooling", "water"]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+        assert "n_chips" in err[0]
 
     def test_int_threshold_widens_to_float(self):
         spec = ExperimentSpec.from_dict({"chip": "low-power-cmp",

@@ -42,7 +42,7 @@ from repro.thermal.package import (DEFAULT_PACKAGE, build_network,
                                    build_package_network, die_layer_names)
 from repro.thermal.response import (DISABLE_ENV, block_power_vector,
                                     configure, factor_keys, response_cache)
-from repro.thermal.stacksolve import PackageFactor
+from repro.thermal.stacksolve import PackageBlock, PackageFactor
 
 ALL_COOLINGS = ("air", "water_pipe", "mineral_oil", "fluorinert", "water")
 #: Fig. 14's sweep coolants (the h values its figure script uses).
@@ -164,7 +164,8 @@ class TestExactness:
             stack, fast_params, build_network(stack, water, fast_params))
         coarser = replace(fast_params, package_grid=3)
         with pytest.raises(ThermalModelError, match="package layers"):
-            PackageFactor(die, build_package_network(stack, water, coarser))
+            PackageFactor(die, PackageBlock(
+                build_package_network(stack, water, coarser)))
 
     def test_ladder_queries_match_sparse_fallback(self, fast_params,
                                                   monkeypatch):
@@ -313,20 +314,31 @@ class TestFactorCache:
             other_die, other_package = factor_keys(stack, water, params)
             assert other_die != die and other_package != package
 
-    def test_a_cold_grid_builds_one_die_factor_per_height(self,
-                                                          fast_params):
-        """A 50-point grid (h 1-10 x five coolants) builds 10 die
-        factors and 50 package factors, and again after both caches
-        are emptied: nothing outside them keeps a factor."""
+    def test_a_cold_grid_builds_one_die_factor_per_height(
+            self, fast_params, monkeypatch):
+        """A 50-point grid (h 1-10 x five coolants) assembles 5 package
+        blocks (one per coolant: the package network does not depend
+        on the stack height) and builds 10 die factors and 50 package
+        factors, and again after both caches are emptied: nothing
+        outside them keeps a factor or a block."""
+        assembled = []
+
+        def spy(stack, cooling, params):
+            assembled.append(cooling.name)
+            return build_package_network(stack, cooling, params)
+
+        monkeypatch.setattr(response, "build_package_network", spy)
         points = frequency_grid("low-power-cmp", tuple(range(1, 11)),
                                 ALL_COOLINGS)
         assert len(points) == 50
         for _ in range(2):
             model_cache().clear()
             response_cache().clear()
+            assembled.clear()
             before = _counters()
             CampaignRunner(points, params=fast_params).run(resume=False)
             builds = _moved(before, "response.")
+            assert sorted(assembled) == sorted(ALL_COOLINGS)
             assert builds["response.die_builds"] == 10
             assert builds["response.package_builds"] == 50
             assert builds["response.builds"] == 60

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import math
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -48,6 +51,13 @@ class TestVFSCurve:
     def test_nonpositive_frequency_rejected(self, curve: VFSCurve):
         with pytest.raises(VFSRangeError):
             curve.voltage_for(0.0)
+
+    @pytest.mark.parametrize("f", (math.nan, math.inf, -math.inf))
+    def test_non_finite_frequency_rejected(self, curve: VFSCurve, f):
+        with pytest.raises(VFSRangeError, match="finite"):
+            curve.voltage_for(f)
+        with pytest.raises(VFSRangeError, match="finite"):
+            get_chip("low-power-cmp").total_power_w(f)
 
     def test_voltage_outside_window_rejected(self, curve: VFSCurve):
         with pytest.raises(VFSRangeError):
@@ -108,6 +118,58 @@ class TestVoltageMemo:
         for _ in range(2):
             with pytest.raises(VFSRangeError, match="exceeds"):
                 curve.voltage_for(ghz(4.0))
+
+
+def _root(find, curve: VFSCurve, f: float):
+    """``voltage_for``'s root find for ``f`` through ``find``: the
+    root, or the message of the ``ValueError`` it raised."""
+    t = curve.tech
+    try:
+        return find(lambda v: curve.frequency_at(v) - f,
+                    t.vdd_min_v, t.vdd_max_v, xtol=1e-9)
+    except ValueError as exc:
+        return str(exc)
+
+
+def _frequencies(curve: VFSCurve, seed: int, n: int = 1000) -> list[float]:
+    """``n`` seeded random frequencies across the curve's range."""
+    lo = curve.frequency_at(curve.tech.vdd_min_v)
+    rng = np.random.default_rng(seed)
+    return [float(f) for f in rng.uniform(lo, curve.f_max_hz, n)]
+
+
+class TestInTreeBrentq:
+    """The power model's own Brent root find returns what
+    ``scipy.optimize.brentq`` returns, to the bit."""
+
+    @pytest.mark.parametrize("name", chip_names())
+    def test_equals_scipy_on_the_library_curves(self, name):
+        from scipy.optimize import brentq
+        chip = get_chip(name)
+        ladder = [float(f) for f in chip.ladder.frequencies()]
+        mids = [(lo + hi) / 2 for lo, hi in zip(ladder, ladder[1:])]
+        for f in ladder + mids + _frequencies(chip.curve, seed=7):
+            assert (_root(vfs.brentq, chip.curve, f)
+                    == _root(brentq, chip.curve, f)), f
+
+    @pytest.mark.parametrize("alpha", (1.0, 2.0))
+    def test_equals_scipy_at_the_alpha_bounds(self, alpha):
+        from scipy.optimize import brentq
+        tech = replace(TECH_22NM_HP, name=f"alpha-{alpha}", alpha=alpha)
+        curve = VFSCurve(tech=tech, f_max_hz=ghz(3.0))
+        for f in _frequencies(curve, seed=int(alpha * 10)):
+            root = _root(vfs.brentq, curve, f)
+            assert isinstance(root, float)
+            assert root == _root(brentq, curve, f), f
+
+    def test_errors_are_scipys(self):
+        with pytest.raises(ValueError, match="different signs"):
+            vfs.brentq(lambda x: x * x + 1.0, -1.0, 1.0, xtol=1e-9)
+        with pytest.raises(ValueError, match="NaN"):
+            vfs.brentq(lambda x: math.nan, -1.0, 1.0, xtol=1e-9)
+        with pytest.raises(RuntimeError, match="converge"):
+            vfs.brentq(lambda x: x ** 3 - 2.0, -1.0, 100.0, xtol=1e-300,
+                       maxiter=3)
 
 
 class TestVFSLadder:
