@@ -65,7 +65,8 @@ def max_frequency(model: ThermalModel,
         threshold_c: temperature limit; defaults to the chip's own
             (80 C for the CMPs, 78 C for the Xeon E5).
         freqs: the ascending ladder to search (None = the chip's full
-            VFS ladder; a ``drop_vfs`` fault passes a sub-ladder).
+            VFS ladder, :attr:`~repro.power.vfs.VFSLadder.steps`; a
+            ``drop_vfs`` fault passes a sub-ladder).
 
     Returns:
         The operating point; ``feasible=False`` with ``f_hz=0`` when no
@@ -74,7 +75,7 @@ def max_frequency(model: ThermalModel,
     chip = model.stack.chip
     limit = threshold_c if threshold_c is not None else chip.threshold_c
     if freqs is None:
-        freqs = chip.ladder.frequencies()
+        freqs = chip.ladder.steps
 
     def temp(idx: int) -> float:
         return model.max_temperature_c(float(freqs[idx]))

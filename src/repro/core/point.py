@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from ..obs import span
-from ..perfsim.analytic import AnalyticModel
+from ..perfsim.analytic import npb_step_times
 from ..perfsim.npb import get_profile
 from ..perfsim.system import config_for_stack
 from ..power.processors import get_chip
@@ -58,9 +58,11 @@ def evaluate(chip: str, n_chips: int, cooling: str, *,
     2. Run the thermal ladder (:func:`~repro.resilience.degrade.
        freq_point_rungs`) under ``resilience``; None runs the
        full-fidelity rung once and raises its error.
-    3. At a feasible point, time each program on one
-       :class:`~repro.perfsim.analytic.AnalyticModel` with ``threads``
-       threads (None = every core of the stack).
+    3. At a feasible point, read each program's time at that step
+       with ``threads`` threads (None = every core of the stack) from
+       :func:`~repro.perfsim.analytic.npb_step_times`, which computes
+       a (system, threads, step) once. ``npb_time_s`` is a new dict
+       per outcome, keyed by the names as ``programs`` spells them.
     """
     config = None
     if programs:
@@ -78,10 +80,10 @@ def evaluate(chip: str, n_chips: int, cooling: str, *,
     op: OperatingPoint = outcome.value
     times: dict[str, float] = {}
     if config is not None and op.feasible:
-        perf = AnalyticModel(config, threads=threads)
-        with span("perf.npb_times", f_ghz=op.f_ghz, threads=perf.threads):
-            times = {name: perf.execution_time_s(get_profile(name),
-                                                 op.f_hz)
+        n_threads = threads if threads is not None else config.total_cores
+        with span("perf.npb_times", f_ghz=op.f_ghz, threads=n_threads):
+            step = npb_step_times(config, n_threads, op.f_hz)
+            times = {name: step[get_profile(name).name]
                      for name in programs}
     return PointOutcome(point=op, npb_time_s=times, rung=outcome.rung,
                         degraded=outcome.degraded,

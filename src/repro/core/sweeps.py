@@ -223,14 +223,14 @@ def temperature_vs_frequency(chip_name: str, cooling_name: str,
     stack = (flip_even_layers(chip, n_chips) if flipped
              else StackConfig(chip=chip, n_chips=n_chips))
     model = ThermalModel(stack, get_cooling(cooling_name), params)
-    freqs = chip.ladder.frequencies()
+    freqs = chip.ladder.steps
     # One batched query: the factors resolved once, then one query per
     # ladder step (one sparse solve per step on the fallback path).
-    temps = model.max_temperatures_many([float(f) for f in freqs])
+    temps = model.max_temperatures_many(freqs)
     return FreqTempSeries(
         cooling=cooling_name,
         flipped=flipped,
-        f_ghz=tuple(float(f) / 1e9 for f in freqs),
+        f_ghz=tuple(f / 1e9 for f in freqs),
         max_temp_c=temps,
     )
 

@@ -184,7 +184,7 @@ def build_board_ladder(config: FleetConfig) -> BoardLadder:
     """
     chip = get_chip(config.chip)
     model = model_for(config.chip, config.n_chips, config.cooling)
-    freqs_hz = [float(f) for f in chip.ladder.frequencies()]
+    freqs_hz = chip.ladder.steps
     with span("fleet.ladder_precompute", chip=config.chip,
               n_chips=config.n_chips, steps=len(freqs_hz)):
         ref_temps = model.max_temperatures_many(freqs_hz)

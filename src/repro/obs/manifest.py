@@ -120,7 +120,11 @@ def build_manifest(*, name: str, config: dict[str, Any],
         "config_hash": config_hash(config),
         "package_version": _package_version(),
         "python_version": platform.python_version(),
-        "platform": platform.platform(),
+        # os.uname() fields only: platform.platform() also reads the
+        # processor, which CPython gets on Linux by running `uname -p`
+        # in a child process, a fork of this whole process
+        "platform": "-".join((platform.system(), platform.release(),
+                              platform.machine())),
         "timestamp": (timestamp if timestamp is not None
                       else datetime.now(timezone.utc).isoformat()),
         "wall_time_s": wall_time_s,

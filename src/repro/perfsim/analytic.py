@@ -19,6 +19,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from types import MappingProxyType
+from typing import Mapping
 
 import numpy as np
 
@@ -27,7 +29,7 @@ from .cache import CacheHierarchyTiming, DEFAULT_HIERARCHY
 from .memory import DEFAULT_DRAM, DramParams
 from .noc.network import expected_noc_cycles
 from .noc.topology import MeshTopology
-from .npb import get_profile
+from .npb import NPB_ORDER, get_profile
 from .system import SystemConfig
 from .workload import WorkloadProfile
 
@@ -167,10 +169,35 @@ class AnalyticModel:
                 / self.execution_time_s(profile, f_ref_hz))
 
 
+#: ``(system, threads, frequency)`` NPB steps whose times are kept.
+NPB_STEP_MEMO_SIZE = 1024
+
+
+@lru_cache(maxsize=NPB_STEP_MEMO_SIZE)
+def npb_step_times(config: SystemConfig, threads: int, f_hz: float
+                   ) -> Mapping[str, float]:
+    """Every NPB program's execution time at one step, computed once.
+
+    A read-only mapping keyed by the :data:`~repro.perfsim.npb.
+    NPB_ORDER` names. An :class:`AnalyticModel`'s times are a pure
+    function of its system, its thread count and the frequency, so
+    each entry is computed by a new model's own
+    :meth:`~AnalyticModel.execution_time_s` and kept: served requests
+    that land on a step an earlier one reached build no model. Pass
+    the resolved thread count (``config.total_cores`` for every
+    core), so both spellings share one entry. Memoized per step,
+    errors excepted; the served threads, heights and frequencies come
+    from outside the program, hence the bound.
+    """
+    model = AnalyticModel(config, threads=threads)
+    return MappingProxyType({name: model.execution_time_s(get_profile(name),
+                                                          f_hz)
+                             for name in NPB_ORDER})
+
+
 def npb_relative_times(config: SystemConfig, f_hz: float, f_ref_hz: float,
                        *, threads: int | None = None) -> dict[str, float]:
     """Relative NPB execution times at f vs a reference frequency."""
-    from .npb import NPB_ORDER
     model = AnalyticModel(config, threads=threads)
     return {
         name: model.relative_time(get_profile(name), f_hz, f_ref_hz)

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Callable
 
 import numpy as np
@@ -231,6 +231,17 @@ class VFSLadder:
     def frequencies(self) -> np.ndarray:
         """All step frequencies in ascending order (Hz)."""
         return self.f_min_hz + self.step_hz * np.arange(self.num_steps)
+
+    @cached_property
+    def steps(self) -> tuple[float, ...]:
+        """All step frequencies as Python floats, computed once per ladder.
+
+        Each entry is ``float`` of the matching :meth:`frequencies`
+        entry, so the bits are the same. The frequency search bisects
+        this tuple on every request; a new array per request was a
+        measurable share of a warm one.
+        """
+        return tuple(float(f) for f in self.frequencies())
 
     def contains(self, f_hz: float, *, tol: float = 1e3) -> bool:
         """True if ``f_hz`` is (within tol Hz of) a ladder step."""

@@ -21,9 +21,11 @@ names. Every (chip, h, cooling) point runs it through
 
 from __future__ import annotations
 
+import threading
 import warnings
+from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Any, Callable, Sequence
+from typing import Any, Callable, Iterator, Sequence
 
 from ..cooling.options import get_cooling
 from ..errors import ConfigurationError, DegradedResultWarning
@@ -37,6 +39,27 @@ from .faults import FaultInjector, FaultyThermalModel, drop_vfs_steps
 from .retry import RetryPolicy, classify_error, with_retry
 
 Rung = tuple[str, Callable[[], Any]]
+
+_QUIET = threading.local()
+
+
+@contextmanager
+def quiet_degradation() -> Iterator[None]:
+    """Within the block, ladders run on this thread do not warn.
+
+    A degraded :meth:`DegradationLadder.run` still counts, logs and
+    records its provenance; only its :class:`~repro.errors.
+    DegradedResultWarning` is skipped. The flag is per thread:
+    ``warnings.catch_warnings`` swaps the process-wide filter list and
+    is not thread-safe, so two dispatcher threads using it at once can
+    leave an ``ignore`` filter behind for the whole process.
+    """
+    before = getattr(_QUIET, "on", False)
+    _QUIET.on = True
+    try:
+        yield
+    finally:
+        _QUIET.on = before
 
 
 @dataclass(frozen=True)
@@ -115,10 +138,11 @@ class DegradationLadder:
                 gauge("resilience.last_degrade_rung").set(idx)
                 log_event("degraded", rung=name, rung_index=idx,
                           absorbed=len(absorbed))
-                warnings.warn(DegradedResultWarning(
-                    f"rung {name!r} (index {idx}) supplied the result "
-                    f"after: {'; '.join(absorbed)}"
-                ), stacklevel=2)
+                if not getattr(_QUIET, "on", False):
+                    warnings.warn(DegradedResultWarning(
+                        f"rung {name!r} (index {idx}) supplied the result "
+                        f"after: {'; '.join(absorbed)}"
+                    ), stacklevel=2)
             return LadderOutcome(
                 value=out.value, rung=name, rung_index=idx,
                 degraded=degraded, attempts=attempts,
@@ -141,10 +165,8 @@ def _search_max_frequency(model, threshold_c, injector: FaultInjector | None):
     if injector is not None:
         spec = injector.draw("vfs")
         if spec is not None and spec.kind == "drop_vfs":
-            freqs = drop_vfs_steps(
-                tuple(float(f) for f in
-                      model.stack.chip.ladder.frequencies()),
-                injector.vfs_rng())
+            freqs = drop_vfs_steps(model.stack.chip.ladder.steps,
+                                   injector.vfs_rng())
     return max_frequency(model, threshold_c, freqs=freqs)
 
 

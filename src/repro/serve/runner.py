@@ -24,14 +24,12 @@ the HTTP surface treat experiments and fleet runs uniformly.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 from ..config import ExperimentResult, ExperimentSpec
-from ..errors import DegradedResultWarning
 from ..obs import span
 from ..resilience import ResilienceOptions
-from ..resilience.degrade import DegradationLadder
+from ..resilience.degrade import DegradationLadder, quiet_degradation
 
 __all__ = ["SpecOutcome", "pool_task", "run_fleet_resilient",
            "run_spec_resilient"]
@@ -71,10 +69,10 @@ def run_spec_resilient(spec: ExperimentSpec,
     opts = options if options is not None else ResilienceOptions()
     with span("serve.evaluate", chip=spec.chip, n_chips=spec.n_chips,
               cooling=spec.cooling):
-        with warnings.catch_warnings():
-            # Provenance is returned structurally; the warning would
-            # land in a dispatcher thread no client observes.
-            warnings.simplefilter("ignore", DegradedResultWarning)
+        # Provenance is returned structurally; the warning would land
+        # in a dispatcher thread no client observes. The flag is this
+        # thread's alone: the broker runs two dispatchers at once.
+        with quiet_degradation():
             outcome = spec.evaluate(opts)
     return SpecOutcome(result=ExperimentResult.of(spec, outcome),
                        rung=outcome.rung,

@@ -37,9 +37,10 @@ if TYPE_CHECKING:  # avoid a circular import; only needed for annotations
 class ThermalModel:
     """Steady-state thermal model of one stack under one cooling option.
 
-    A model holds the die temperatures it has computed, one read-only
-    vector per VFS step, and answers every die-observable query from
-    them. A step not seen before costs one query on the geometry's
+    A model holds the die temperatures it has computed (one read-only
+    vector per VFS step) and the hottest cell of each step a threshold
+    query has read; it answers every die-observable query from them. A
+    step not seen before costs one query on the geometry's
     shared stack factors (:func:`~repro.thermal.response.stack_factor`,
     resolved through the process-wide response cache; the model keeps
     no factor), or one sparse solve (:meth:`result`) when
@@ -65,6 +66,7 @@ class ThermalModel:
         self._keys = None
         self._result_cache: dict[float, ThermalResult] = {}
         self._temps: dict[tuple[bool, float], np.ndarray] = {}
+        self._hottest: dict[tuple[bool, float], float] = {}
 
     @property
     def network(self) -> ThermalNetwork:
@@ -106,7 +108,8 @@ class ThermalModel:
         order): one query on the shared stack factors, not cached."""
         return self._factor().temperatures(p)
 
-    def _die_temps(self, f_hz_seq) -> list[np.ndarray]:
+    def _die_temps(self, f_hz_seq, sparse: bool | None = None
+                   ) -> list[np.ndarray]:
         """Flat die temperatures at each VFS step, cached per step.
 
         A call whose steps are all cached touches no factor. Otherwise
@@ -114,10 +117,12 @@ class ThermalModel:
         never a batch — so scalar probes and ladder batches record
         bitwise-identical temperatures (checkpoint byte-identity
         depends on it); with ``REPRO_RESPONSE_DISABLE`` set it is one
-        sparse solve instead, cached apart. Two threads missing the
-        same step both compute it and store the same bits.
+        sparse solve instead, cached apart. ``sparse`` is that switch
+        as the caller read it (None reads it now). Two threads missing
+        the same step both compute it and store the same bits.
         """
-        sparse = not response_enabled()
+        if sparse is None:
+            sparse = not response_enabled()
         factor = None
         temps = []
         for f in f_hz_seq:
@@ -148,18 +153,36 @@ class ThermalModel:
         """Hottest die-cell temperature at a VFS step, Celsius.
 
         The paper's constraint applies to junction temperature, so only
-        die layers are inspected (the heatsink is always cooler).
+        die layers are inspected (the heatsink is always cooler). Kept
+        per step as a float, keyed like the die temperatures, so a
+        step probed before costs one dict read: no array is touched.
         """
-        return float(self._die_temps((f_hz,))[0].max())
+        sparse = not response_enabled()
+        key = (sparse, round(float(f_hz), 3))
+        hot = self._hottest.get(key)
+        if hot is None:
+            hot = float(self._die_temps((f_hz,), sparse)[0].max())
+            self._hottest[key] = hot
+        return hot
 
     def max_temperatures_many(self, f_hz_seq) -> tuple[float, ...]:
         """Hottest die-cell temperature at each VFS step, batched.
 
-        The batched counterpart of :meth:`max_temperature_c`: the
-        ladder sweeps and the fleet's DTM ladder ask for every step of
-        a ladder in one call, which resolves the factors once.
+        The batched counterpart of :meth:`max_temperature_c`, from the
+        same per-step floats: the ladder sweeps and the fleet's DTM
+        ladder ask for every step of a ladder in one call, which
+        resolves the factors once for the steps not yet read.
         """
-        return tuple(float(t.max()) for t in self._die_temps(f_hz_seq))
+        sparse = not response_enabled()
+        freqs = list(f_hz_seq)
+        keys = [(sparse, round(float(f), 3)) for f in freqs]
+        todo = [(f, key) for f, key in zip(freqs, keys)
+                if key not in self._hottest]
+        if todo:
+            temps = self._die_temps([f for f, _ in todo], sparse)
+            for (_, key), t in zip(todo, temps):
+                self._hottest[key] = float(t.max())
+        return tuple(self._hottest[key] for key in keys)
 
     def die_temperature_fields(self, f_hz: float) -> dict[str, np.ndarray]:
         """Per-die (grid, grid) temperature fields — the Figs. 9/16/18 maps."""

@@ -1,10 +1,13 @@
-"""Start-up: a process imports only the scipy it runs.
+"""Start-up: a process imports only the scipy it runs, and starts no
+child to describe its host.
 
 ``scipy.optimize`` (one root find) and ``scipy.stats`` (one normal
 quantile) would load hundreds of modules into every process; the power
 model carries its own Brent root find and the performance tier calls
 ``scipy.special.ndtri``. ``scipy.sparse.linalg`` loads with the first
 sparse factorization, which the factored thermal path never makes.
+A run manifest names its host from ``os.uname()``:
+``platform.platform()`` would run ``uname -p`` in a child process.
 """
 
 from __future__ import annotations
@@ -58,3 +61,30 @@ def test_workloads_import_no_unused_scipy():
     # the sparse reference factorizes, and still needs no root finder
     assert sparse["scipy.sparse.linalg"]
     assert not sparse["scipy.optimize"] and not sparse["scipy.stats"]
+
+
+_MANIFEST_SCRIPT = """
+import subprocess
+
+def refuse(*args, **kwargs):
+    raise AssertionError(f"a process was started: {args!r}")
+
+subprocess.Popen = refuse
+from repro.obs.manifest import build_manifest, validate_manifest
+doc = build_manifest(name="campaign", config={"seed": 1})
+validate_manifest(doc)
+print(doc["platform"])
+"""
+
+
+def test_manifest_starts_no_process():
+    # A fresh interpreter: ``platform`` caches ``uname()`` for the rest
+    # of a process, so in-process this would pass once any earlier test
+    # had built a manifest.
+    import repro
+    src = str(Path(repro.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", _MANIFEST_SCRIPT], env=env,
+                         capture_output=True, text=True, timeout=60)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip().startswith(os.uname().sysname)

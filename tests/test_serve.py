@@ -17,8 +17,11 @@ The load-bearing guarantees pinned here:
 from __future__ import annotations
 
 import json
+import sys
 import threading
 import time
+import warnings
+from dataclasses import replace
 
 import pytest
 
@@ -26,6 +29,7 @@ from repro.config import ExperimentResult, ExperimentSpec
 from repro.errors import (
     ConfigurationError,
     DeadlineExceededError,
+    DegradedResultWarning,
     OverloadedError,
     ServeError,
     ThermalModelError,
@@ -488,6 +492,46 @@ class TestResilientRunner:
         with pytest.raises(ThermalModelError):
             run_spec_resilient(fast_spec(), _faulted(
                 FaultSpec("singular"), allow_degraded=False))
+
+    def test_degraded_request_does_not_warn(self):
+        with warnings.catch_warnings(record=True) as seen:
+            warnings.simplefilter("always")
+            outcome = run_spec_resilient(fast_spec(), _faulted(
+                FaultSpec("singular"), allow_degraded=True))
+        assert outcome.degraded
+        assert not [w for w in seen
+                    if issubclass(w.category, DegradedResultWarning)]
+
+    def test_concurrent_dispatchers_leave_the_filters_alone(self):
+        # ``warnings.catch_warnings`` in two threads at once can leave
+        # its ``ignore`` filter installed for the whole process.
+        specs = [fast_spec(n_chips=n, threshold_c=75.0 + 0.5 * n)
+                 for n in (1, 2)]
+        for spec in specs:
+            spec.run()
+        before = list(warnings.filters)
+        interval = sys.getswitchinterval()
+
+        def serve(spec):
+            for i in range(300):
+                run_spec_resilient(replace(spec, threshold_c=75.0 + i / 100))
+
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=serve, args=(spec,))
+                       for spec in specs]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join()
+        finally:
+            sys.setswitchinterval(interval)
+        assert warnings.filters == before
+        # a degraded evaluation on this thread still warns
+        with pytest.warns(DegradedResultWarning):
+            outcome = fast_spec().evaluate(_faulted(
+                FaultSpec("singular"), allow_degraded=True))
+        assert outcome.rung == "analytic"
 
 
 # -- process-mode evaluation ------------------------------------------------
