@@ -58,11 +58,12 @@ from ..thermal.package import DEFAULT_PACKAGE, PackageParams
 from .freqopt import OperatingPoint
 from .point import evaluate
 
-#: 3 since temperatures come from the shared stack factors, which move
-#: them in their last bits; an older file is quarantined and recomputed.
-#: (2: the thermal ladder's first rung is named ``full`` and NPB records
-#: name no performance rung.)
-CHECKPOINT_VERSION = 3
+#: 4 since each coolant's package is condensed onto the ports the dies
+#: couple to, which moves temperatures in their last bits; an older file
+#: is quarantined and recomputed. (3: temperatures from the shared stack
+#: factors; 2: the thermal ladder's first rung is named ``full`` and NPB
+#: records name no performance rung.)
+CHECKPOINT_VERSION = 4
 
 #: Statuses resume must not recompute. ``poison`` (quarantined by the
 #: supervised pool) is deliberately absent: a poisoned point is

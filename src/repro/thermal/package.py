@@ -50,11 +50,14 @@ if TYPE_CHECKING:  # avoid a circular import; only needed for annotations
 
 
 #: Finest die grid the thermal model is built for (the finest any
-#: caller uses is 24). A die factor forms a dense ``die_grid**2``-square
-#: lateral block: 134 MB at 64.
+#: caller uses is 24). A die factor holds ``die_grid**2 * n_chips**2``
+#: doubles of Green's functions (8.4 MB at 32 with 32 chips, 34 MB at
+#: 64), and the sparse reference factorizes ``n_chips * die_grid**2``
+#: die nodes.
 MAX_DIE_GRID = 32
-#: Finest package grid (the default is 8). A package factor forms a
-#: dense ``(4 * package_grid**2)``-square Schur complement: 134 MB at 32.
+#: Finest package grid (the default is 8). A package block factors the
+#: package's inner nodes (all of its ``4 * package_grid**2`` nodes but
+#: the ports) as one dense matrix: under 8.4 MB at 16, 134 MB at 32.
 MAX_PACKAGE_GRID = 16
 
 

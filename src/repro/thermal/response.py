@@ -14,10 +14,12 @@ factors, neither of which ever factorizes G:
   cooling, which enters only at the package boundary;
 * a :class:`~repro.thermal.stacksolve.PackageFactor` per (die stack,
   cooling option), built from the die factor and the coolant's
-  :class:`~repro.thermal.stacksolve.PackageBlock`;
-* that block, the coolant's package layers alone, per (die outline,
-  cooling option, :class:`~repro.thermal.package.PackageParams`): the
-  package network does not depend on the stack height.
+  :class:`~repro.thermal.stacksolve.PackageBlock`: a ports x ports
+  matrix, the ports being the package cells the dies couple to;
+* that block, the coolant's package layers alone condensed onto the
+  ports, per (die outline, cooling option,
+  :class:`~repro.thermal.package.PackageParams`, ports): neither the
+  package network nor the ports depend on the stack height.
 
 So a Figs. 7/8 grid pays one die factor per stack height, one package
 block per coolant and one small package factor per point, and a
@@ -76,11 +78,11 @@ DISABLE_ENV = "REPRO_RESPONSE_DISABLE"
 #: :func:`~repro.core.campaign.frequency_grid` is coolant-major, so a
 #: die factor comes back after every other height's die and package
 #: factor and a package block or two (2 x 15 + 1 entries on the
-#: Figs. 7/8 grids). At h = 15 a die factor is 1.1-1.6 MB (the Xeon
-#: Phi's 112 blocks the most) and a package factor 0.53 MB, and a
-#: package factor keeps its die factor alive; a package block is
-#: 0.53 MB and keeps nothing else alive. At the default grids the worst
-#: case is therefore 64 x 2.1 MB.
+#: Figs. 7/8 grids). At h = 15 a die factor is 0.59-1.07 MB (the
+#: flipped Xeon Phi's two 112-block bases the most); a package factor
+#: and a package block are ports x ports, at most 19 kB (the Xeon Phi's
+#: 48 ports), and a package factor keeps its die factor alive. At the
+#: default grids the worst case is therefore 64 x 1.1 MB.
 RESPONSE_CACHE_CAPACITY = 64
 
 T = TypeVar("T")
@@ -223,7 +225,8 @@ def stack_factor(stack: StackConfig, cooling: "CoolingOption",
 
     Resolved through :func:`response_cache`: on a miss the package
     factor is built from the resident (or newly built) die factor and
-    the coolant's resident (or newly assembled) package block.
+    the coolant's resident (or newly assembled and condensed) package
+    block on that die factor's ports.
 
     Args:
         stack, cooling, params: the geometry.
@@ -239,13 +242,16 @@ def stack_factor(stack: StackConfig, cooling: "CoolingOption",
                                                        network()),
                             dies=stack.n_chips)
 
-    def build_block() -> PackageBlock:
-        return PackageBlock(build_package_network(stack, cooling, params))
-
     def build_package() -> PackageFactor:
         die = cache.get_or_build(die_key, build_die)
         block_key = FactorKey("package block",
-                              stack.chip.floorplan().outline, cooling, params)
+                              stack.chip.floorplan().outline, cooling, params,
+                              tuple(die.ports.tolist()))
+
+        def build_block() -> PackageBlock:
+            return PackageBlock(build_package_network(stack, cooling, params),
+                                die.ports)
+
         return _timed_build(
             "package",
             lambda: PackageFactor(die, cache.get_or_build(block_key,

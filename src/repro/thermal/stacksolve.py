@@ -15,10 +15,19 @@ a Kronecker sum over a uniform grid, ``gx I (x) Px + gy Py (x) I`` with
 two ``eigh`` calls of size ``ny`` and ``nx``. In the ``V (x) Q`` basis
 (``T = V diag(theta) V^T``) ``G_dd`` is diagonal, and per lateral mode
 ``k`` the stack is the ``h x h`` Green's function
-``(T + lam_k I)^-1``. The few package nodes (board, substrate,
-spreader, sink) touch the dies only through the bottom and top die, so
-eliminating the dies leaves one small dense Schur complement
-``S = G_pp - W`` with ``W = G_pd G_dd^-1 G_dp`` for the package.
+``(T + lam_k I)^-1``. The package nodes (board, substrate, spreader,
+sink) touch the dies only through the bottom and top die, so
+eliminating the dies leaves the package system ``S = G_pkg - W`` with
+``W = G_pd G_dd^-1 G_dp``. ``W`` is nonzero only on the *ports*: the
+package cells the bottom and top die couple to (20 of 256 for the CMPs
+at the default grids). The dies' right-hand side enters the package
+only there, and the back-substitution reads the package only there.
+So the inner package nodes ``I`` are eliminated once, leaving
+
+    C = G_PP - G_PI G_II^-1 G_IP,    s = f_P - G_PI G_II^-1 f_I
+
+over the ports ``P``; neither depends on the dies, and each stack
+factors only ``S_P = C - W_PP``.
 
 The cooling option enters the network only at the package boundary:
 the sink's top face and the board's bottom face. Everything on the die
@@ -28,16 +37,16 @@ under every coolant, so the solve comes in two factors:
 
 * :class:`DieFactor`, one per die stack, read off any coolant's
   assembled network;
-* :class:`PackageFactor`, one per coolant, ``S`` assembled from the die
-  factor and the coolant's :class:`PackageBlock` and factored by
-  LAPACK's symmetric ``dsytrf``. The block, the coolant's package
-  layers alone (:func:`~repro.thermal.package.build_package_network`),
-  depends on the die outline but not on the stack height, so every
-  height under one coolant shares it.
+* :class:`PackageFactor`, one per coolant, ``S_P`` from the die factor
+  and the coolant's :class:`PackageBlock`, factored by LAPACK's
+  symmetric ``dsytrf``. The block, the coolant's package layers alone
+  (:func:`~repro.thermal.package.build_package_network`) condensed
+  onto the ports, depends on the die outline but not on the stack
+  height, so every height under one coolant shares it.
 
 A query (:meth:`PackageFactor.temperatures`) pushes one block-power
 vector through both: per die the unit-power basis in modes times its
-block powers, the Green's functions, one ``dsytrs`` against ``S``,
+block powers, the Green's functions, one ``dsytrs`` against ``S_P``,
 then the back-substitution and a separable transform back to cells
 (two batches of ``ny`` (resp. ``nx``) small GEMMs, ``nx + ny``
 multiply-adds per output entry instead of the ``m`` of a dense ``Q``).
@@ -53,6 +62,7 @@ from typing import Sequence
 
 import numpy as np
 from scipy.linalg.lapack import dsytrf, dsytrf_lwork, dsytrs
+from scipy.sparse import csr_matrix
 
 from ..errors import SingularNetworkError, ThermalModelError
 from .network import ThermalNetwork
@@ -84,6 +94,17 @@ def _package_layers(network: ThermalNetwork,
                  if la.name not in skip)
 
 
+def _factor(a: np.ndarray, what: str) -> tuple[np.ndarray, np.ndarray]:
+    """LAPACK ``dsytrf`` of the symmetric ``a`` (overwritten)."""
+    lwork = int(dsytrf_lwork(a.shape[0])[0])
+    lu, ipiv, info = dsytrf(a, lwork=lwork, overwrite_a=True)
+    if info > 0:
+        raise SingularNetworkError(
+            f"{what} is singular; check that every layer is connected to "
+            f"a boundary")
+    return lu, ipiv
+
+
 class DieFactor:
     """The cooling-independent half of a die stack's structured solve.
 
@@ -91,7 +112,7 @@ class DieFactor:
         network: the stack's assembled network under any cooling option
             (read through
             :meth:`~repro.thermal.network.ThermalNetwork.conductance_matrix`;
-            never factorized).
+            never factorized), its dies contiguous in node order.
         die_names: the die layers, bottom first. Every other layer is
             package.
         bases: per die, bottom first, an ``(m, k)`` array whose columns
@@ -100,9 +121,9 @@ class DieFactor:
             transform.
 
     Raises:
-        ThermalModelError: the dies do not share one lateral block with
-            cell-to-cell vertical coupling, there is no package, or the
-            bases do not match the dies.
+        ThermalModelError: the dies are not contiguous, do not share one
+            lateral block with cell-to-cell vertical coupling, there is
+            no package, or the bases do not match the dies.
         SingularNetworkError: the stack has no path to any boundary.
     """
 
@@ -119,36 +140,47 @@ class DieFactor:
             raise ThermalModelError(
                 f"need one ({m}, k) basis per die ({h}), got "
                 f"{[u.shape for u in bases]}")
-        die_idx = np.concatenate([network.node_index(name, 0, 0)
-                                  + np.arange(m) for name in die_names])
-        is_pkg = np.ones(network.num_nodes, dtype=bool)
-        is_pkg[die_idx] = False
-        pkg_idx = np.flatnonzero(is_pkg)
-        if pkg_idx.size == 0:
+        nd = h * m
+        d0 = network.node_index(die_names[0], 0, 0)
+        if any(network.node_index(name, 0, 0) != d0 + i * m
+               for i, name in enumerate(die_names)):
+            raise ThermalModelError(
+                "structured stack solve: the die layers are not "
+                "contiguous in node order")
+        if network.num_nodes == nd:
             raise ThermalModelError(
                 "structured stack solve needs package layers")
-        nd = h * m
-        perm = np.concatenate([die_idx, pkg_idx])
-        g = network.conductance_matrix().tocsr()[perm][:, perm]
-        g_dd = g[:nd, :nd]
+        # the die rows of G: G_dd, and the coupling to the package
+        # columns, numbered as in the package network
+        rows = network.conductance_matrix().tocsr()[d0:d0 + nd].tocoo()
+        col = rows.col - d0
+        in_die = (col >= 0) & (col < nd)
+        r, c, g_dd = rows.row[in_die], col[in_die], rows.data[in_die]
 
         # L from die 0's x and y neighbour conductances, with the
         # zero-row-sum diagonal, so every uniform on-site term lands in T
-        gx = -g_dd[0, 1] if nx > 1 else 0.0
-        gy = -g_dd[0, nx] if ny > 1 else 0.0
+        row0 = np.zeros(nd)
+        row0[c[r == 0]] = g_dd[r == 0]
+        gx = -row0[1] if nx > 1 else 0.0
+        gy = -row0[nx] if ny > 1 else 0.0
         px, py = _chain_laplacian(nx), _chain_laplacian(ny)
-        lateral = gx * np.kron(np.eye(ny), px) + gy * np.kron(py, np.eye(nx))
-        t = g_dd[::m, ::m].toarray() - lateral[0, 0] * np.eye(h)
+        corner = (r % m == 0) & (c % m == 0)
+        t = np.zeros((h, h))
+        t[r[corner] // m, c[corner] // m] = g_dd[corner]
+        t -= (gx * px[0, 0] + gy * py[0, 0]) * np.eye(h)
         # every stored entry of G_dd must be that of I (x) L + T (x) I,
-        # and every nonzero of I (x) L + T (x) I must be stored
-        stored = g_dd.tocoo()
-        (die_r, cell_r), (die_c, cell_c) = (np.divmod(stored.row, m),
-                                            np.divmod(stored.col, m))
-        want = (np.where(die_r == die_c, lateral[cell_r, cell_c], 0.0)
+        # and every nonzero of I (x) L + T (x) I must be stored; the
+        # entry of L is gx Px + gy Py at the cells' x and y indices
+        (die_r, cell_r), (die_c, cell_c) = np.divmod(r, m), np.divmod(c, m)
+        (y_r, x_r), (y_c, x_c) = np.divmod(cell_r, nx), np.divmod(cell_c, nx)
+        lateral = (gx * np.where(y_r == y_c, px[x_r, x_c], 0.0)
+                   + gy * np.where(x_r == x_c, py[y_r, y_c], 0.0))
+        want = (np.where(die_r == die_c, lateral, 0.0)
                 + np.where(cell_r == cell_c, t[die_r, die_c], 0.0))
-        n_want = h * (_off_diagonal(lateral) + m) + m * _off_diagonal(t)
-        if (stored.nnz != n_want or np.abs(stored.data - want).max()
-                > STRUCTURE_RTOL * np.abs(stored.data).max()):
+        n_lateral = ny * _off_diagonal(gx * px) + nx * _off_diagonal(gy * py)
+        n_want = h * (n_lateral + m) + m * _off_diagonal(t)
+        if (g_dd.size != n_want or np.abs(g_dd - want).max()
+                > STRUCTURE_RTOL * np.abs(g_dd).max()):
             raise ThermalModelError(
                 "structured stack solve: the die layers do not share one "
                 "lateral conduction block with cell-to-cell vertical "
@@ -169,34 +201,43 @@ class DieFactor:
         self.basis_hat = tuple(hats[id(u)] for u in bases)
         source = network.boundary_source()
         #: the dies' boundary source in modes, ``(m, h)``
-        self.source_hat = self.modes(source[die_idx].reshape(h, m).T)
+        self.source_hat = self.modes(source[d0:d0 + nd].reshape(h, m).T)
         #: package layers this factor pairs with, in node order
         self.package_layers = _package_layers(network, die_names)
 
-        # package coupling (die a's cells -> its package neighbours) and
-        # W = sum_ab C_a^T Q g_ab Q^T C_b over the coupled dies
-        coupling = g[:nd, nd:]
-        rows = np.repeat(np.arange(nd), np.diff(coupling.indptr))
+        # package coupling: die a's cells -> its package neighbours
+        out = ~in_die
+        r, c, data = rows.row[out], rows.col[out], rows.data[out]
+        # the ports, and each coupling entry's position among them
+        ports, at = np.unique(np.where(c < d0, c, c - nd),
+                              return_inverse=True)
+        ports.setflags(write=False)
+        #: package nodes the dies couple to, ascending (read-only)
+        self.ports = ports
         coupled = []
-        for a in np.unique(rows // m):
-            c_a = coupling[a * m:(a + 1) * m]
-            cols = np.unique(c_a.indices)
-            coupled.append((a, cols, c_a[:, cols]))
-        #: per coupled die ``a``: its package columns and ``Q^T C_a``
-        self.ports = tuple((a, cols, self.modes(c_a.toarray()))
-                           for a, cols, c_a in coupled)
-        w = np.zeros((pkg_idx.size, pkg_idx.size))
-        for (b, cols_b, _), (_, _, c_hat) in zip(coupled, self.ports):
-            for a, cols_a, c_a in coupled:
-                w[np.ix_(cols_a, cols_b)] += c_a.T @ self.cells(
+        for a in np.unique(r // m):
+            mine = r // m == a
+            pos, local = np.unique(at[mine], return_inverse=True)
+            coupled.append((a, pos, csr_matrix(
+                (data[mine], (r[mine] - a * m, local)), shape=(m, pos.size))))
+        #: per coupled die ``a``: its positions among the ports and
+        #: ``Q^T C_a``
+        self.coupled = tuple((a, pos, self.modes(c_a.toarray()))
+                             for a, pos, c_a in coupled)
+        # W = sum_ab C_a^T Q g_ab Q^T C_b over the coupled dies
+        w = np.zeros((ports.size, ports.size))
+        for (b, pos_b, _), (_, _, c_hat) in zip(coupled, self.coupled):
+            for a, pos_a, c_a in coupled:
+                w[np.ix_(pos_a, pos_b)] += c_a.T @ self.cells(
                     self.green[:, a, b, None] * c_hat)
         # The package network holds no die, so its diagonal lacks the
-        # die interfaces' share of G_pp; fold that share into W here.
-        w[np.diag_indices_from(w)] += np.asarray(
-            coupling.sum(axis=0)).ravel()
-        #: ``S = G_pkg - w`` for every coolant's package network ``G_pkg``
-        #: (Fortran order, as LAPACK takes ``S``)
-        self.w = np.asfortranarray(w)
+        # die interfaces' share of G_pp: the coupling's column sums, on
+        # the ports by their definition. Fold that share into W here.
+        w[np.diag_indices_from(w)] += np.bincount(at, weights=data,
+                                                  minlength=ports.size)
+        #: ``S_P = C - w`` for every coolant's :class:`PackageBlock`
+        #: ``C`` condensed onto :attr:`ports`
+        self.w = w
 
     @property
     def n_dies(self) -> int:
@@ -221,22 +262,59 @@ class DieFactor:
 
 
 class PackageBlock:
-    """One coolant's package network, assembled once and read-only.
+    """One coolant's package network condensed onto the ports, once.
+
+    The inner nodes ``I`` (every package node but the ports ``P``) are
+    eliminated through one ``dsytrf`` of ``G_II``; the block keeps only
+    the read-only ``C = G_PP - G_PI G_II^-1 G_IP`` and
+    ``s = f_P - G_PI G_II^-1 f_I``.
 
     Args:
         package: the coolant's package layers alone
             (:func:`~repro.thermal.package.build_package_network`): the
             package block of the full network, less the die interfaces'
             share of its diagonal, which a :class:`DieFactor` carries.
+        ports: the package nodes the dies couple to, ascending
+            (:attr:`DieFactor.ports`).
+
+    Raises:
+        ThermalModelError: ``ports`` is not an ascending set of some but
+            not all of the package's nodes.
+        SingularNetworkError: the inner package nodes have no path to a
+            boundary.
     """
 
-    def __init__(self, package: ThermalNetwork) -> None:
-        #: the dense conductance ``G_pkg`` (Fortran order, as LAPACK
-        #: takes ``S``)
-        self.g = package.conductance_matrix().toarray(order="F")
-        #: the boundary source ``B T_amb`` of the package nodes
-        self.source = package.boundary_source()
-        for a in (self.g, self.source):
+    def __init__(self, package: ThermalNetwork, ports: np.ndarray) -> None:
+        g = package.conductance_matrix().tocsr()
+        n = g.shape[0]
+        ports = np.array(ports)
+        if not (ports.ndim == 1 and ports.dtype.kind in "iu"
+                and 0 < ports.size < n and ports[0] >= 0
+                and ports[-1] < n and np.all(np.diff(ports) > 0)):
+            raise ThermalModelError(
+                f"package ports must be ascending nodes of the {n}-node "
+                f"package, some but not all, got {ports}")
+        inner = np.ones(n, dtype=bool)
+        inner[ports] = False
+        inner = np.flatnonzero(inner)
+        f = package.boundary_source()
+        # [X | y] = G_II^-1 [G_IP | f_I]
+        g_i = g[inner]
+        lu, ipiv = _factor(g_i[:, inner].toarray(order="F"),
+                           "inner package network")
+        rhs = np.empty((inner.size, ports.size + 1), order="F")
+        rhs[:, :-1] = g_i[:, ports].toarray()
+        rhs[:, -1] = f[inner]
+        x, _ = dsytrs(lu, ipiv, rhs, overwrite_b=True)
+        g_p = g[ports]
+        z = g_p[:, inner] @ x
+        #: ``C``, the package conductance condensed onto the ports
+        self.c = g_p[:, ports].toarray() - z[:, :-1]
+        #: ``s``, the package boundary source condensed onto the ports
+        self.source = f[ports] - z[:, -1]
+        #: the package nodes ``C`` and ``s`` are condensed onto
+        self.ports = ports
+        for a in (self.c, self.source, self.ports):
             a.setflags(write=False)
         #: ``(name, cells)`` of the package layers, in node order
         self.layers = _package_layers(package)
@@ -247,11 +325,12 @@ class PackageFactor:
 
     Args:
         die: the stack's die factor.
-        block: the coolant's package block.
+        block: the coolant's package block, condensed onto the die
+            factor's ports.
 
     Raises:
         ThermalModelError: ``block`` has other layers than the package
-            ``die`` was read from.
+            ``die`` was read from, or was condensed onto other ports.
         SingularNetworkError: the package Schur complement is singular.
     """
 
@@ -260,14 +339,13 @@ class PackageFactor:
             raise ThermalModelError(
                 f"package layers {block.layers} do not match the die "
                 f"factor's {die.package_layers}")
-        s = block.g.copy(order="F")
+        if not np.array_equal(block.ports, die.ports):
+            raise ThermalModelError(
+                "package block was condensed onto other ports than the "
+                "die factor couples to")
+        s = block.c.copy(order="F")
         s -= die.w
-        lwork = int(dsytrf_lwork(s.shape[0])[0])
-        self._lu, self._ipiv, info = dsytrf(s, lwork=lwork, overwrite_a=True)
-        if info > 0:
-            raise SingularNetworkError(
-                "package Schur complement is singular; check that every "
-                "layer is connected to a boundary")
+        self._lu, self._ipiv = _factor(s, "package Schur complement")
         self._source = block.source
         #: the die factor this package solve was built on
         self.die = die
@@ -280,7 +358,8 @@ class PackageFactor:
                 blocks in its basis column order.
 
         Raises:
-            ThermalModelError: ``p`` has the wrong shape.
+            ThermalModelError: ``p`` has the wrong shape, or an entry
+                that is not finite or is negative.
             SingularNetworkError: the answer is not finite or not
                 physical (a layer or island has no path to a boundary).
         """
@@ -290,6 +369,12 @@ class PackageFactor:
         if p.shape != (h * k,):
             raise ThermalModelError(
                 f"power vector must have shape ({h * k},), got {p.shape}")
+        if not np.isfinite(p).all():
+            raise ThermalModelError(
+                "power vector contains non-finite block powers (NaN/Inf)")
+        if (p < 0).any():
+            raise ThermalModelError(
+                "power vector contains negative block powers")
         # per die, the basis in modes times its block powers, plus the
         # dies' own boundary source
         y = die.source_hat.copy()
@@ -297,15 +382,15 @@ class PackageFactor:
             y[:, i] += b_hat @ p[i * k:(i + 1) * k]
         # G_dd^-1 of that, in eigen-coordinates
         x = np.einsum("kij,kj->ki", die.green, y)
-        # package temperatures: S x_p = f_p - G_pd G_dd^-1 f_d
+        # port temperatures: S_P x_P = s - G_Pd G_dd^-1 f_d
         rhs = self._source.copy()
-        for a, cols, port in die.ports:
-            rhs[cols] -= x[:, a] @ port
+        for a, pos, port in die.coupled:
+            rhs[pos] -= x[:, a] @ port
         x_p, _ = dsytrs(self._lu, self._ipiv, rhs[:, None],
                         overwrite_b=True)
         # back-substitute the package as each coupled die sees it
-        for a, cols, port in die.ports:
-            x -= die.green[:, :, a] * (port @ x_p[cols])
+        for a, pos, port in die.coupled:
+            x -= die.green[:, :, a] * (port @ x_p[pos])
         t = die.cells(x).T.ravel()
         if not (np.all(np.isfinite(t)) and np.abs(t).max() < 1e12):
             raise SingularNetworkError(

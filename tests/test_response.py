@@ -21,6 +21,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -61,9 +62,9 @@ def _moved(before: dict, prefix: str) -> dict:
             if k.startswith(prefix) and after.get(k, 0) != before.get(k, 0)}
 
 
-def _sparse_reference(stack, cooling, params, p):
-    """Per-die maxima via the sparse path for an arbitrary power vector."""
-    network = build_network(stack, cooling, params)
+def _sparse_fields(network, stack, params, p):
+    """Flat die temperatures (die-major) via the sparse path for an
+    arbitrary power vector."""
     fps = stack.die_floorplans()
     nb = len(fps[0].blocks)
     maps = {}
@@ -72,11 +73,18 @@ def _sparse_reference(stack, cooling, params, p):
         watts = {b.name: float(w) for b, w in zip(fp.blocks, seg)}
         maps[die] = fp.power_map(watts, params.die_grid, params.die_grid)
     res = network.solve(maps)
-    return tuple(res.max_of(d) for d in die_layer_names(stack))
+    return np.concatenate([res.layer(d).ravel()
+                           for d in die_layer_names(stack)])
 
 
 def _per_die_max(stack, t):
     return tuple(float(row.max()) for row in t.reshape(stack.n_chips, -1))
+
+
+def _sparse_reference(stack, cooling, params, p):
+    """Per-die maxima via the sparse path for an arbitrary power vector."""
+    return _per_die_max(stack, _sparse_fields(
+        build_network(stack, cooling, params), stack, params, p))
 
 
 #: Stacks checked against the sparse solve: (height, rotation schedule,
@@ -157,15 +165,89 @@ class TestExactness:
 
     def test_package_of_another_geometry_is_rejected(self, fast_params):
         """A package factor pairs only with the package its die factor
-        was read from."""
+        was read from, even one condensed onto that package's own
+        ports."""
         stack = StackConfig(chip=get_chip("low-power-cmp"), n_chips=2)
         water = get_cooling("water")
         die = response._die_factor(
             stack, fast_params, build_network(stack, water, fast_params))
         coarser = replace(fast_params, package_grid=3)
+        ports = response._die_factor(
+            stack, coarser, build_network(stack, water, coarser)).ports
         with pytest.raises(ThermalModelError, match="package layers"):
             PackageFactor(die, PackageBlock(
-                build_package_network(stack, water, coarser)))
+                build_package_network(stack, water, coarser), ports))
+
+    def test_package_condensed_onto_other_ports_is_rejected(
+            self, fast_params):
+        """A block condensed onto other ports than the die factor
+        couples to is refused, and so is a port set that is not an
+        ascending proper subset of the package's node numbers."""
+        stack = StackConfig(chip=get_chip("low-power-cmp"), n_chips=2)
+        water = get_cooling("water")
+        die = response._die_factor(
+            stack, fast_params, build_network(stack, water, fast_params))
+        package = build_package_network(stack, water, fast_params)
+        with pytest.raises(ThermalModelError, match="other ports"):
+            PackageFactor(die, PackageBlock(package, die.ports[:-1]))
+        n = package.num_nodes
+        for ports in (die.ports[::-1], die.ports + 0.5, np.arange(n),
+                      np.array([0, n]), np.array([], dtype=int)):
+            with pytest.raises(ThermalModelError, match="ports"):
+                PackageBlock(package, ports)
+
+    def test_dies_out_of_node_order_are_rejected(self, fast_params):
+        """The die factor slices the dies' rows as one contiguous run;
+        a network that numbers a package layer between two dies is
+        refused, not permuted."""
+        stack = StackConfig(chip=get_chip("low-power-cmp"), n_chips=2)
+        net = build_network(stack, get_cooling("water"), fast_params)
+        order = ("board", "substrate", "die0", "spreader", "die1", "sink")
+        layers = sorted(net.layers, key=lambda la: order.index(la.name))
+        odd = ThermalNetwork(layers, net.interfaces, net.boundaries)
+        with pytest.raises(ThermalModelError, match="contiguous"):
+            response._die_factor(stack, fast_params, odd)
+
+    @pytest.mark.parametrize("bad", (np.nan, np.inf, -np.inf, -50.0),
+                             ids=("nan", "inf", "-inf", "negative"))
+    def test_unphysical_block_powers_are_refused(self, bad, fast_params):
+        """The factored query refuses what the sparse reference refuses,
+        by name and before any arithmetic (no RuntimeWarning), not as a
+        singular network."""
+        chip = get_chip("low-power-cmp")
+        stack = StackConfig(chip=chip, n_chips=2)
+        model = ThermalModel(stack, get_cooling("water"), fast_params)
+        p = block_power_vector(stack, 2e9).copy()
+        p[5] = bad
+        want = "negative" if bad == -50.0 else "non-finite"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ThermalModelError, match=want) as info:
+                model.temperatures(p)
+        assert not isinstance(info.value, SingularNetworkError)
+
+    @pytest.mark.parametrize("cooling_name", ("air", "water_pipe", "water"))
+    @pytest.mark.parametrize("chip_name,n_chips,flip", (
+        ("xeon-e5-2667v4", 1, False), ("xeon-e5-2667v4", 3, True),
+        ("xeon-phi-7290", 1, False), ("xeon-phi-7290", 2, True)))
+    def test_die_fields_match_sparse_with_more_ports(
+            self, chip_name, n_chips, flip, cooling_name):
+        """The Xeons couple to more package cells than the CMPs (24 and
+        48 ports at the default grids): whole die fields against the
+        sparse solve."""
+        chip = get_chip(chip_name)
+        stack = (flip_even_layers(chip, n_chips) if flip
+                 else StackConfig(chip=chip, n_chips=n_chips))
+        cooling = get_cooling(cooling_name)
+        model = ThermalModel(stack, cooling)
+        network = build_network(stack, cooling)
+        rng = np.random.default_rng(n_chips)
+        n_cols = n_chips * len(chip.floorplan().blocks)
+        for _ in range(2):
+            p = rng.uniform(0.0, 2.0, size=n_cols)
+            want = _sparse_fields(network, stack, DEFAULT_PACKAGE, p)
+            np.testing.assert_allclose(model.temperatures(p), want,
+                                       rtol=0, atol=1e-9)
 
     def test_ladder_queries_match_sparse_fallback(self, fast_params,
                                                   monkeypatch):
@@ -220,6 +302,66 @@ class TestExactness:
                                                     abs=1e-6)
         assert got.chip_power_w == pytest.approx(want.chip_power_w,
                                                  abs=1e-9)
+
+
+class TestDerivatives:
+    """The die temperatures are affine in the block powers, so a unit
+    step in one block is an exact difference: the factored query's
+    response to each block must be the sparse solve's."""
+
+    @pytest.mark.parametrize("chip_name,n_chips", (
+        ("low-power-cmp", 2), ("xeon-phi-7290", 1)))
+    def test_response_to_each_block_matches_sparse(self, chip_name, n_chips,
+                                                   fast_params):
+        stack = StackConfig(chip=get_chip(chip_name), n_chips=n_chips)
+        cooling = get_cooling("water")
+        model = ThermalModel(stack, cooling, fast_params)
+        network = build_network(stack, cooling, fast_params)
+        p = block_power_vector(stack, stack.chip.ladder.f_max_hz)
+        got0 = model.temperatures(p)
+        want0 = _sparse_fields(network, stack, fast_params, p)
+        for j in range(p.size):
+            step = p.copy()
+            step[j] += 1.0
+            got = model.temperatures(step) - got0
+            want = _sparse_fields(network, stack, fast_params, step) - want0
+            assert got.max() > 0.0, j
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-9,
+                                       err_msg=f"block {j}")
+
+
+class TestCondensation:
+    """Each coolant's package is condensed onto the ports the dies
+    couple to, so a package factor is ports x ports."""
+
+    @pytest.mark.parametrize("chip_name,n_ports", (
+        ("low-power-cmp", 20), ("high-frequency-cmp", 20),
+        ("xeon-e5-2667v4", 24), ("xeon-phi-7290", 48)))
+    def test_factor_and_block_sizes(self, chip_name, n_ports):
+        """The die factor's ``W`` and the package factor's LU are
+        ports x ports, a block holds nothing larger than ports² plus
+        its sources, and the ports do not follow the stack height, so
+        one block serves every height."""
+        chip = get_chip(chip_name)
+        water = get_cooling("water")
+        ports = []
+        for h in (1, 2, 5):
+            stack = StackConfig(chip=chip, n_chips=h)
+            die = response._die_factor(
+                stack, DEFAULT_PACKAGE, build_network(stack, water))
+            block = PackageBlock(build_package_network(stack, water),
+                                 die.ports)
+            factor = PackageFactor(die, block)
+            ports.append(die.ports)
+            assert die.ports.size == n_ports
+            assert die.w.shape == (n_ports, n_ports)
+            assert factor._lu.shape == (n_ports, n_ports)
+            arrays = [a for a in vars(block).values()
+                      if isinstance(a, np.ndarray)]
+            assert max(a.size for a in arrays) <= n_ports ** 2
+            assert sum(a.size for a in arrays) <= n_ports ** 2 + 2 * n_ports
+            assert not any(a.flags.writeable for a in arrays)
+        assert all(np.array_equal(ports[0], other) for other in ports[1:])
 
 
 def _blocks(stack, cooling, params=DEFAULT_PACKAGE):
