@@ -22,13 +22,3 @@ def test_fig01(benchmark, save_artifact):
         render_frequency_figure(
             "Fig. 1: max frequency vs #stacked Xeon E5-2667v4 chips "
             "(threshold 78 C)", series))
-    by = {s.cooling: s for s in series}
-    # Ordering air <= oil <= water at every stack height.
-    for i in range(len(CHIPS)):
-        assert by["air"].f_ghz[i] <= by["mineral_oil"].f_ghz[i] + 1e-9
-        assert by["mineral_oil"].f_ghz[i] <= by["water"].f_ghz[i] + 1e-9
-    # Air is the first to collapse.
-    assert by["air"].feasible_up_to() <= by["mineral_oil"].feasible_up_to()
-    # Water sustains a 3-chip stack at a much higher clock than air
-    # (paper: 2.0 vs 3.2 GHz).
-    assert by["water"].f_ghz[2] >= by["air"].f_ghz[2] + 0.4

@@ -1,29 +1,23 @@
 """Figure 11 — NPB times relative to mineral oil, 8-chip low-power CMP.
 
 32 threads. The figure is normalized to mineral oil because the water
-pipe cannot support the 8-chip low-power stack at all (the shape
-criterion this bench checks first). Headline: water beats oil by about
+pipe cannot support the 8-chip low-power stack at all (anchor row
+``fig11-pipe-feasible``). Headline: water beats oil by about
 4.5 % on average.
 """
 
 from __future__ import annotations
 
-from npb_figures import assert_common_shape, render_npb_figure, run_comparison
-
-from repro.datasets import paper
+from npb_figures import render_npb_figure, run_comparison
 
 COOLS = ("mineral_oil", "fluorinert", "water")
 
 
 def test_fig11(benchmark, save_artifact):
     cmp_ = benchmark(run_comparison, "low-power-cmp", 8, "mineral_oil")
-    assert not cmp_.outcome("water_pipe").feasible
     save_artifact(
         "fig11_npb_8chip_lowpower",
         render_npb_figure(
             "Fig. 11: NPB execution times relative to mineral-oil "
             "cooling, 8-chip low-power CMP (water pipe infeasible)",
             cmp_, COOLS))
-    assert_common_shape(cmp_, COOLS)
-    gain = 1.0 - cmp_.average_relative("water")
-    assert abs(gain - paper.HEADLINE_VS_MINERAL_OIL) < 0.03

@@ -20,9 +20,3 @@ def test_fig16(benchmark, save_artifact):
         render_map_figure(
             "Fig. 16: thermal map, 4-chip high-frequency CMP @ 3.6 GHz, "
             "water cooling, even layers rotated (flip)", flip))
-    plain = compute_maps("high-frequency-cmp", "water", ghz(3.6))
-    t_flip = max(float(f.max()) for f in flip.values())
-    t_plain = max(float(f.max()) for f in plain.values())
-    assert t_flip < t_plain
-    # The paper quantifies the gain at 3.6 GHz as 13 C; accept 6-25.
-    assert 6.0 <= t_plain - t_flip <= 25.0

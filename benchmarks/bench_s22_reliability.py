@@ -49,7 +49,6 @@ def test_s22(benchmark, save_artifact):
 
     for c in TEST_BOARD_COMPONENTS:
         assert c.observed_failures == paper.TESTBOARD_FAILURES[c.name]
-    assert masked_years > 2.0           # "a couple of years"
     assert masked_years > full_years    # masking helps
 
     # Monte-Carlo agreement with the analytic survival curve.

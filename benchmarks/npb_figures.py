@@ -30,17 +30,3 @@ def run_comparison(chip: str, n_chips: int, reference: str
     """The timed kernel: full power->thermal->performance pipeline."""
     return run_npb_comparison(chip, n_chips, reference=reference)
 
-
-def assert_common_shape(cmp_: NpbComparison,
-                        coolings: tuple[str, ...]) -> None:
-    """Criteria every NPB figure shares."""
-    water = cmp_.relative_times("water")
-    # Water is fastest on every benchmark.
-    for c in coolings:
-        rel = cmp_.relative_times(c)
-        for name in NPB_ORDER:
-            assert water[name] <= rel[name] + 1e-9
-    # Performance tends to follow frequency: EP (compute-bound) gains
-    # the most from water's clock advantage, IS/CG the least.
-    assert water["ep"] == min(water.values())
-    assert max(water, key=water.get) in ("is", "cg")

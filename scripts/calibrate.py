@@ -1,164 +1,60 @@
-"""Calibration driver for the package thermal parameters.
+"""Score a candidate PackageParams against the paper's anchor table.
 
-Runs the feasibility/frequency sweeps that correspond to the paper's
-anchors (DESIGN.md section 5) for a candidate PackageParams and prints
-the anchor scorecard. Used to fit the defaults recorded in
-repro/thermal/package.py; re-run after any structural change to the
-thermal model.
+Prints each chip's max-frequency grid and every row of
+``repro.analysis.anchors.ANCHORS`` for the calibrated package with the
+given overrides applied. Each VALUE is a JSON number, typed and checked
+like a spec's ``package_overrides``. Re-run after any structural change
+to the thermal model.
 
-Usage: python scripts/calibrate.py [--fast]
+Usage: python scripts/calibrate.py [FIELD=VALUE ...]
+
+Exit status: 0 when every row is met, 1 when a row misses, 2 for a
+malformed or refused override.
 """
 
 from __future__ import annotations
 
+import json
 import sys
-from dataclasses import replace
 
-from repro.cooling.options import get_cooling
-from repro.core.freqopt import max_frequency
-from repro.power.processors import get_chip
-from repro.stack.chipstack import StackConfig, flip_even_layers
-from repro.thermal.hotspot import ThermalModel
+from repro.analysis.anchors import (Measurements, full_report,
+                                    render_full_report, render_grids)
+from repro.config import fields_from_dict, fields_to_dict
+from repro.errors import ConfigurationError
 from repro.thermal.package import DEFAULT_PACKAGE, PackageParams
-from repro.units import ghz
-
-COOLS = ("air", "water_pipe", "mineral_oil", "fluorinert", "water")
 
 
-def sweep_table(params: PackageParams, chip_name: str, ns: tuple[int, ...]
-                ) -> dict[str, dict[int, float]]:
-    chip = get_chip(chip_name)
-    out: dict[str, dict[int, float]] = {}
-    for cool in COOLS:
-        row: dict[int, float] = {}
-        for n in ns:
-            model = ThermalModel(StackConfig(chip=chip, n_chips=n),
-                                 get_cooling(cool), params)
-            p = max_frequency(model)
-            row[n] = p.f_ghz if p.feasible else 0.0
-        out[cool] = row
-    return out
+def parse_params(args: list[str]) -> PackageParams:
+    """The calibrated package with ``FIELD=VALUE`` overrides applied."""
+    overrides = {}
+    for arg in args:
+        key, sep, text = arg.partition("=")
+        try:
+            if not sep:
+                raise ValueError
+            overrides[key] = json.loads(text)
+        except ValueError:
+            raise ConfigurationError(
+                f"expected FIELD=VALUE with a JSON number, got {arg!r}"
+            ) from None
+    return fields_from_dict(
+        PackageParams, {**fields_to_dict(DEFAULT_PACKAGE), **overrides},
+        "package parameter")
 
 
-def print_table(title: str, table: dict[str, dict[int, float]]) -> None:
-    ns = sorted(next(iter(table.values())))
-    print(f"{title}:")
-    print(" " * 13, " ".join(f"{n:4d}" for n in ns))
-    for cool, row in table.items():
-        cells = " ".join(f"{row[n]:4.1f}" if row[n] else " -- " for n in ns)
-        print(f"{cool:12s} {cells}")
-
-
-def max_chips(row: dict[int, float]) -> int:
-    feasible = [n for n, f in row.items() if f > 0]
-    return max(feasible) if feasible else 0
-
-
-def score(params: PackageParams, *, verbose: bool = True) -> int:
-    """Count satisfied anchors (higher is better)."""
-    lp = sweep_table(params, "low-power-cmp", (1, 2, 3, 4, 5, 6, 7, 8, 10,
-                                               12, 15))
-    hf = sweep_table(params, "high-frequency-cmp", (1, 2, 4, 6, 8, 10, 12,
-                                                    15))
-    if verbose:
-        print_table("low-power-cmp", lp)
-        print_table("high-frequency-cmp", hf)
-
-    checks: list[tuple[str, bool]] = []
-
-    def chk(name: str, ok: bool) -> None:
-        checks.append((name, ok))
-
-    # Feasibility anchors (paper Figs 7/8 and Section 3.3 text).
-    chk("LP air supports <=4-5 chips", 3 <= max_chips(lp["air"]) <= 5)
-    chk("LP pipe supports ~7 (6-7), fails 8",
-        6 <= max_chips(lp["water_pipe"]) <= 7)
-    chk("LP oil supports >=8", max_chips(lp["mineral_oil"]) >= 8)
-    chk("LP water supports >=10", max_chips(lp["water"]) >= 10)
-    chk("LP water deeper than oil",
-        max_chips(lp["water"]) >= max_chips(lp["mineral_oil"]))
-    chk("HF deeper than LP for air (broader VFS range)",
-        max_chips(hf["air"]) >= max_chips(lp["air"]))
-    chk("HF water reaches >=10", max_chips(hf["water"]) >= 10)
-    # Ordering at every point.
-    order_ok = True
-    for table in (lp, hf):
-        ns = sorted(next(iter(table.values())))
-        for n in ns:
-            seq = [table[c][n] for c in COOLS]
-            if any(seq[i] > seq[i + 1] + 1e-9 for i in range(len(seq) - 1)):
-                order_ok = False
-    chk("ordering air<=pipe<=oil<=FC<=water everywhere", order_ok)
-    # Headline frequency-gap anchors at the NPB configurations.
-    if lp["water_pipe"][6] and lp["water"][6]:
-        r6 = lp["water"][6] / lp["water_pipe"][6]
-        chk("LP 6-chip water/pipe freq ratio in [1.1, 1.7]",
-            1.1 <= r6 <= 1.7)
-    else:
-        chk("LP 6-chip pipe and water both feasible", False)
-    if lp["mineral_oil"][8] and lp["water"][8]:
-        r8 = lp["water"][8] / lp["mineral_oil"][8]
-        chk("LP 8-chip water/oil freq ratio in [1.0, 1.2]",
-            1.0 <= r8 <= 1.2)
-    else:
-        chk("LP 8-chip oil and water both feasible", False)
-    chk("LP 8-chip pipe infeasible (Fig 11 normalizes to oil)",
-        lp["water_pipe"][8] == 0.0)
-    if hf["water_pipe"][6] and hf["water"][6]:
-        chk("HF 6-chip water/pipe ratio in [1.1, 1.7]",
-            1.1 <= hf["water"][6] / hf["water_pipe"][6] <= 1.7)
-    else:
-        chk("HF 6-chip pipe and water both feasible", False)
-    chk("HF 8-chip water feasible", hf["water"][8] > 0)
-
-    # Fig 15 anchor: 4-chip HF, water: flip enables 3.6 GHz (or nearly),
-    # and flip lowers the 3.6 GHz temperature by ~13 C.
-    chip = get_chip("high-frequency-cmp")
-    water = get_cooling("water")
-    noflip = ThermalModel(StackConfig(chip=chip, n_chips=4), water, params)
-    flip = ThermalModel(flip_even_layers(chip, 4), water, params)
-    t_nf = noflip.max_temperature_c(ghz(3.6))
-    t_fl = flip.max_temperature_c(ghz(3.6))
-    gain = t_nf - t_fl
-    chk(f"flip gain at 3.6 GHz in [5, 25] C (got {gain:.1f})",
-        5.0 <= gain <= 25.0)
-    chk(f"water 4-chip HF noflip near threshold (75-95 C, got {t_nf:.1f})",
-        75.0 <= t_nf <= 95.0)
-
-    # E5 / Phi shape anchors (Figs 1 and 17).
-    e5 = sweep_table(params, "xeon-e5-2667v4", (1, 2, 3, 4))
-    phi = sweep_table(params, "xeon-phi-7290", (1, 2, 3, 4))
-    if verbose:
-        print_table("xeon-e5-2667v4", e5)
-        print_table("xeon-phi-7290", phi)
-    chk("E5 water 1-chip at 3.4-3.6", e5["water"][1] >= 3.4)
-    chk("E5 air shallower than water",
-        max_chips(e5["air"]) <= max_chips(e5["water"]))
-    chk("Phi water 1-chip at 1.5-1.6", phi["water"][1] >= 1.5)
-    chk("Phi pipe <= 2 chips", max_chips(phi["water_pipe"]) <= 2)
-    chk("Phi oil <= 3 chips", max_chips(phi["mineral_oil"]) <= 3)
-    chk("Phi water >= oil depth",
-        max_chips(phi["water"]) >= max_chips(phi["mineral_oil"]))
-
-    passed = sum(ok for _, ok in checks)
-    print(f"\nanchors: {passed}/{len(checks)}")
-    for name, ok in checks:
-        print(f"  [{'x' if ok else ' '}] {name}")
-    return passed
-
-
-def main() -> None:
-    params = DEFAULT_PACKAGE
-    overrides: dict[str, float] = {}
-    for arg in sys.argv[1:]:
-        if "=" in arg:
-            k, v = arg.split("=", 1)
-            overrides[k] = float(v)
-    if overrides:
-        params = replace(params, **overrides)
-        print("overrides:", overrides)
-    score(params)
+def main(args: list[str]) -> int:
+    try:
+        params = parse_params(args)
+    except ConfigurationError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    measured = Measurements(params)
+    print(render_grids(measured))
+    print()
+    print(render_full_report(measured))
+    return 0 if all(r.passed == r.total
+                    for r in full_report(measured)) else 1
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main(sys.argv[1:]))

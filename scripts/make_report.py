@@ -2,16 +2,17 @@
 
 Usage: python scripts/make_report.py [output.txt]
 
-Re-runs every experiment at the calibrated defaults and prints (and
-optionally writes) the EXPERIMENTS.md-style comparison. Run after any
-change to the thermal/power/performance models.
+Checks every row of the anchor table (``repro.analysis.anchors``) at
+the calibrated defaults and prints (and optionally writes) the report,
+grouped by figure. Run after any change to the thermal/power/performance
+models.
 """
 
 from __future__ import annotations
 
 import sys
 
-from repro.analysis.report import render_full_report
+from repro.analysis.anchors import render_full_report
 
 
 def main() -> None:

@@ -1,7 +1,7 @@
 """Result rendering and paper-vs-measured validation."""
 
+from .anchors import full_report, render_full_report
 from .charts import ascii_chart, chart_frequency_series
-from .report import full_report, render_full_report
 from .uncertainty import (
     VARIED_PARAMETERS,
     RobustnessResult,

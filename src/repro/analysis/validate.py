@@ -1,8 +1,8 @@
 """Paper-vs-measured validation records.
 
-EXPERIMENTS.md and the shape tests both consume these helpers: a
-:class:`Check` compares a measured value against the paper's published
-one with an explicit tolerance, and a :class:`ValidationReport`
+The anchor table (:mod:`repro.analysis.anchors`) renders its rows
+through these helpers: a :class:`Check` compares a measured value
+against the paper's published one, and a :class:`ValidationReport`
 aggregates checks per experiment.
 """
 

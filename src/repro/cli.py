@@ -125,7 +125,7 @@ def _cmd_headline(args: argparse.Namespace) -> int:
 
 
 def _cmd_report(args: argparse.Namespace) -> int:
-    from .analysis.report import render_full_report
+    from .analysis.anchors import render_full_report
     print(render_full_report())
     return 0
 

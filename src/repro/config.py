@@ -137,8 +137,10 @@ class ExperimentSpec:
     label: str = ""
 
     def __post_init__(self) -> None:
-        """Refuse a spec the pipeline cannot run: unknown names, and NPB
-        times for a chip whose cores do not fit the mesh."""
+        """Refuse a spec the pipeline cannot run: unknown names, a
+        non-finite threshold, and NPB times for a chip whose cores do
+        not fit the mesh."""
+        require_finite(self, "ExperimentSpec")
         if self.n_chips < 1:
             raise ConfigurationError("n_chips must be >= 1")
         check_stack_height(self.n_chips)

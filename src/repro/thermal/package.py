@@ -30,7 +30,8 @@ EXPERIMENTS.md); each is documented on :class:`PackageParams`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, fields
 from functools import lru_cache
 from typing import TYPE_CHECKING
 
@@ -137,21 +138,28 @@ class PackageParams:
     package_grid: int = 8
 
     def __post_init__(self) -> None:
-        for label, v in (("spreader side", self.spreader_side_m),
-                         ("sink side", self.sink_side_m),
-                         ("fin area", self.sink_fin_area_m2),
-                         ("die grid", self.die_grid),
-                         ("package grid", self.package_grid)):
-            if v <= 0:
+        """Refuse a value the network cannot be built from, naming the
+        field: every value must be finite, an interface resistance
+        (``*_r_m2kw``) at least 0, and every other value but the
+        ambient above 0; the grids have caps."""
+        for f in fields(self):
+            v = getattr(self, f.name)
+            if f.name == "ambient_c":
+                ok, rule = math.isfinite(v), "finite"
+            elif f.name.endswith("_r_m2kw"):
+                ok, rule = 0 <= v < math.inf, "finite and >= 0"
+            else:
+                ok, rule = 0 < v < math.inf, "finite and > 0"
+            if not ok:
                 raise ConfigurationError(
-                    f"package parameter {label} must be positive, got {v}"
-                )
+                    f"package parameter {f.name!r} must be {rule}, "
+                    f"got {v!r}")
         for name, v, most in (("die_grid", self.die_grid, MAX_DIE_GRID),
                               ("package_grid", self.package_grid,
                                MAX_PACKAGE_GRID)):
             if v > most:
                 raise ConfigurationError(
-                    f"package parameter {name} must be at most {most}, "
+                    f"package parameter {name!r} must be at most {most}, "
                     f"got {v}")
 
     @property

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import pytest
 
-from repro.analysis.report import full_report
 from repro.cli import build_parser
 from repro.errors import ConfigurationError, ReproError, ThermalModelError
 from repro.perfsim import SystemConfig
@@ -71,11 +70,3 @@ def test_error_hierarchy_rooted():
     assert issubclass(ThermalModelError, ReproError)
     assert issubclass(ConfigurationError, ReproError)
 
-
-@pytest.mark.slow
-def test_full_report_passes_everywhere():
-    """The complete validation engine, end to end (slow: ~1 min)."""
-    reports = full_report()
-    assert len(reports) == 6
-    for rep in reports:
-        assert rep.passed == rep.total, rep.render()

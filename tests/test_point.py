@@ -14,6 +14,7 @@
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import replace
 
 import pytest
@@ -186,6 +187,17 @@ BAD_SPECS = {
                       "die_grid"),
     "fine-package-grid": ({"package_overrides": {
         "package_grid": MAX_PACKAGE_GRID + 1}}, "package_grid"),
+    # every comparison against NaN is False, so the ladder's search
+    # answered "feasible at the floor"; +inf answered the ladder's top
+    "nan-threshold": ({"threshold_c": math.nan}, "threshold_c"),
+    "inf-threshold": ({"threshold_c": math.inf}, "threshold_c"),
+    "neg-inf-threshold": ({"threshold_c": -math.inf}, "threshold_c"),
+    "nan-override": ({"package_overrides": {"ambient_c": math.nan}},
+                     "ambient_c"),
+    "negative-override": ({"package_overrides": {
+        "tim_spreader_r_m2kw": -1e-5}}, "tim_spreader_r_m2kw"),
+    "zero-override": ({"package_overrides": {"board_k_lateral": 0.0}},
+                      "board_k_lateral"),
 }
 
 
@@ -243,6 +255,18 @@ class TestBoundary:
             server.shutdown()
             server.server_close()
             broker.shutdown(drain=True)
+
+    @pytest.mark.parametrize("case", ("nan-override", "negative-override",
+                                      "zero-override"))
+    def test_degraded_rung_never_sees_a_refused_package(self, case):
+        """The analytic rung answered a NaN ambient (max_temp_c NaN)
+        and a negative interface (24.5 C, below the ambient) as
+        feasible; the package is refused before any rung runs."""
+        overrides = BAD_SPECS[case][0]["package_overrides"]
+        with pytest.raises(ConfigurationError, match=BAD_SPECS[case][1]):
+            evaluate("low-power-cmp", 2, "water",
+                     params=replace(DEFAULT_PACKAGE, **overrides),
+                     resilience=ResilienceOptions(allow_degraded=True))
 
     def test_geometry_caps(self):
         """32 chips, a 32-cell die grid and a 16-cell package grid are

@@ -38,9 +38,10 @@ from repro.power.processors import get_chip
 from repro.stack.chipstack import StackConfig, flip_even_layers
 from repro.thermal import response
 from repro.thermal.hotspot import ThermalModel, model_cache
-from repro.thermal.network import ThermalNetwork
+from repro.thermal.network import ThermalNetwork, splu
 from repro.thermal.package import (DEFAULT_PACKAGE, build_network,
-                                   build_package_network, die_layer_names)
+                                   build_package_network, die_layer_names,
+                                   stack_power_maps)
 from repro.thermal.response import (DISABLE_ENV, block_power_vector,
                                     configure, factor_keys, response_cache)
 from repro.thermal.stacksolve import PackageBlock, PackageFactor
@@ -328,6 +329,44 @@ class TestDerivatives:
             assert got.max() > 0.0, j
             np.testing.assert_allclose(got, want, rtol=0, atol=1e-9,
                                        err_msg=f"block {j}")
+
+
+def _full_solve(stack, h, maps):
+    """The network under Fig. 14's coolant at ``h``, and every node's
+    temperature in network order."""
+    net = build_network(stack, h_sweep_cooling(h))
+    res = net.solve(maps)
+    return net, np.concatenate([res.layer(la.name).ravel()
+                                for la in net.layers])
+
+
+class TestHDerivative:
+    """h enters G only on the boundary diagonal B(h), and the right-hand
+    side only as B(h) T_amb, so one sparse solve gives
+    dT/dh = -G^-1 diag(dB/dh) (T - T_amb): the premise of the Fig. 14
+    sweep and of the stack factors every coolant shares."""
+
+    @pytest.mark.parametrize("h", (14.0, 160.0, 800.0, 1600.0))
+    def test_dt_dh_matches_central_differences(self, h):
+        stack = StackConfig(chip=get_chip("xeon-e5-2667v4"), n_chips=4)
+        maps = stack_power_maps(stack, stack.chip.ladder.f_max_hz)
+        delta = 1e-3 * h
+        net, t = _full_solve(stack, h, maps)
+        lo, t_lo = _full_solve(stack, h - delta, maps)
+        hi, t_hi = _full_solve(stack, h + delta, maps)
+        db = hi.boundary_conductances() - lo.boundary_conductances()
+        dg = (hi.conductance_matrix() - lo.conductance_matrix()).tocoo()
+        assert not np.any(dg.data[dg.row != dg.col])
+        rounding = 1e-12 * np.abs(net.conductance_matrix().diagonal()).max()
+        np.testing.assert_allclose(dg.diagonal(), db, rtol=0, atol=rounding)
+        t_amb = DEFAULT_PACKAGE.ambient_c
+        np.testing.assert_allclose(
+            hi.boundary_source() - lo.boundary_source(), db * t_amb,
+            rtol=0, atol=rounding * t_amb)
+        dt_dh = -splu(net.conductance_matrix()).solve(
+            db / (2 * delta) * (t - t_amb))
+        central = (t_hi - t_lo) / (2 * delta)
+        assert np.abs(dt_dh - central).max() <= 1e-5 * np.abs(central).max()
 
 
 class TestCondensation:
