@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.analysis.anchors import Measurements
 from repro.cooling.options import get_cooling
 from repro.power.processors import get_chip
 from repro.stack.chipstack import StackConfig
@@ -36,3 +37,10 @@ def hf_air_2(fast_params: PackageParams) -> ThermalModel:
         get_cooling("air"),
         fast_params,
     )
+
+
+@pytest.fixture(scope="session")
+def measured() -> Measurements:
+    """Everything the anchor table reads at the calibrated package,
+    computed once for every test that checks the paper's anchors."""
+    return Measurements()

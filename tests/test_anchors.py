@@ -12,16 +12,11 @@ from pathlib import Path
 
 import pytest
 
-from repro.analysis.anchors import ANCHORS, Measurements
+from repro.analysis.anchors import ANCHORS
 from repro.errors import ConfigurationError
 
 ROOT = Path(__file__).resolve().parents[1]
 CALIBRATE = ROOT / "scripts" / "calibrate.py"
-
-
-@pytest.fixture(scope="module")
-def measured() -> Measurements:
-    return Measurements()
 
 
 @pytest.mark.parametrize("anchor", ANCHORS, ids=[a.id for a in ANCHORS])

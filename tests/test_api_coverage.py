@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.analysis.anchors import ANCHORS, full_report
 from repro.cli import build_parser
 from repro.errors import ConfigurationError, ReproError, ThermalModelError
 from repro.perfsim import SystemConfig
@@ -14,6 +15,18 @@ from repro.power.roadmap import check_endpoints
 from repro.power.technology import get_technology
 from repro.thermal.maps import stack_stats
 from repro.units import ghz
+
+
+def test_full_report_passes_everywhere(measured):
+    """One report per figure or section, in the table's order, holding
+    every row once, and every row met."""
+    reports = full_report(measured)
+    assert [r.experiment for r in reports] == list(
+        dict.fromkeys(a.figure for a in ANCHORS))
+    assert sorted(c.name for r in reports for c in r.checks) == sorted(
+        a.id for a in ANCHORS)
+    for rep in reports:
+        assert rep.passed == rep.total, rep.render()
 
 
 def test_npb_relative_times_all_programs():

@@ -1,202 +1,42 @@
-"""Integration tests: the paper's published shapes, at full resolution.
-
-These are the acceptance criteria from DESIGN.md section 5 — who wins,
-by roughly what factor, where the feasibility cliffs fall — evaluated
-against the calibrated default package. Deviations that are accepted
-and documented in EXPERIMENTS.md are *not* asserted here.
-"""
+"""Shapes of Figs. 1, 7 and 15 as the paper states them, on the
+measurements the anchor table (``repro.analysis.anchors``) reads."""
 
 from __future__ import annotations
 
 import pytest
 
-import repro
-from repro.core.cosim import run_npb_comparison
-from repro.core.sweeps import frequency_vs_chips, rotation_gain_c, temperature_vs_h
+from repro.analysis.anchors import ANCHORS, E5, HF, LP
+from repro.core.sweeps import rotation_gain_c
 from repro.datasets import paper
 from repro.units import ghz
 
-COOLS = ("air", "water_pipe", "mineral_oil", "fluorinert", "water")
-
-
-@pytest.fixture(scope="module")
-def lp_table():
-    series = frequency_vs_chips("low-power-cmp",
-                                tuple(range(1, 16)), COOLS)
-    return {s.cooling: s for s in series}
-
-
-@pytest.fixture(scope="module")
-def hf_table():
-    series = frequency_vs_chips("high-frequency-cmp",
-                                (1, 2, 4, 6, 8, 10, 12, 15), COOLS)
-    return {s.cooling: s for s in series}
-
 
 class TestFig7LowPower:
-    def test_air_limit_close_to_paper(self, lp_table):
-        # Paper: 4 chips; calibrated model: 4-5.
-        assert 4 <= lp_table["air"].feasible_up_to() <= 5
+    def test_water_pipe_limit_is_7(self, measured):
+        assert (measured.depth(LP, "water_pipe")
+                == paper.LOW_POWER_MAX_CHIPS["water_pipe"])
 
-    def test_water_pipe_limit_is_7(self, lp_table):
-        assert lp_table["water_pipe"].feasible_up_to() == 7
-
-    def test_pipe_infeasible_at_8(self, lp_table):
-        assert lp_table["water_pipe"].f_ghz[7] == 0.0
-
-    def test_oil_supports_8(self, lp_table):
-        assert lp_table["mineral_oil"].f_ghz[7] > 0.0
-
-    def test_water_deepest(self, lp_table):
-        water = lp_table["water"].feasible_up_to()
-        assert water >= 10
-        assert water >= lp_table["mineral_oil"].feasible_up_to()
-
-    def test_ordering_everywhere(self, lp_table):
-        for i in range(15):
-            seq = [lp_table[c].f_ghz[i] for c in COOLS]
-            assert all(a <= b + 1e-9 for a, b in zip(seq, seq[1:]))
-
-    def test_single_chip_everyone_reaches_cap(self, lp_table):
-        for c in COOLS:
-            assert lp_table[c].f_ghz[0] == pytest.approx(2.0)
-
-
-class TestFig8HighFrequency:
-    def test_hf_air_deeper_than_lp_air(self, lp_table, hf_table):
-        # Section 3.2: the broader VFS range supports more chips.
-        assert (hf_table["air"].feasible_up_to()
-                >= lp_table["air"].feasible_up_to())
-
-    def test_water_reaches_deep(self, hf_table):
-        assert hf_table["water"].feasible_up_to() >= 10
-
-    def test_pipe_supports_8_chips_hf(self, hf_table):
-        # Fig. 13 normalizes the 8-chip high-frequency CMP to the pipe.
-        idx = hf_table["water_pipe"].chips.index(8)
-        assert hf_table["water_pipe"].f_ghz[idx] > 0.0
-
-    def test_water_at_4_chips_above_3ghz(self, hf_table):
-        idx = hf_table["water"].chips.index(4)
-        assert hf_table["water"].f_ghz[idx] >= 3.0
+    def test_pipe_infeasible_at_8(self, measured):
+        assert measured.ghz(LP, "water_pipe", 8) == 0.0
 
 
 class TestFig1XeonE5:
-    @pytest.fixture(scope="class")
-    def e5(self):
-        series = frequency_vs_chips("xeon-e5-2667v4", (1, 2, 3, 4),
-                                    ("air", "mineral_oil", "water"))
-        return {s.cooling: s for s in series}
+    def test_air_shallowest(self, measured):
+        depths = [measured.depth(E5, c)
+                  for c in ("air", "mineral_oil", "water")]
+        assert depths == sorted(depths)
 
-    def test_water_single_chip_max(self, e5):
-        assert e5["water"].f_ghz[0] == pytest.approx(
-            paper.E5_MAX_FREQ_GHZ, abs=0.21)
-
-    def test_air_shallowest(self, e5):
-        assert (e5["air"].feasible_up_to()
-                <= e5["mineral_oil"].feasible_up_to()
-                <= e5["water"].feasible_up_to())
-
-    def test_water_beats_oil_per_chipcount(self, e5):
-        for fo, fw in zip(e5["mineral_oil"].f_ghz, e5["water"].f_ghz):
-            assert fw >= fo
-
-
-class TestFig17XeonPhi:
-    @pytest.fixture(scope="class")
-    def phi(self):
-        series = frequency_vs_chips("xeon-phi-7290", (1, 2, 3, 4), COOLS)
-        return {s.cooling: s for s in series}
-
-    def test_water_single_chip_is_16(self, phi):
-        assert phi["water"].f_ghz[0] == pytest.approx(
-            paper.PHI_MAX_FREQ_GHZ, abs=0.11)
-
-    def test_pipe_at_most_2_chips(self, phi):
-        assert phi["water_pipe"].feasible_up_to() <= paper.PHI_MAX_CHIPS[
-            "water_pipe"]
-
-    def test_water_at_least_as_deep_as_oil(self, phi):
-        assert (phi["water"].feasible_up_to()
-                >= phi["mineral_oil"].feasible_up_to())
-
-
-class TestFig14HSweep:
-    def test_paper_shape(self):
-        hs = tuple(float(h) for h in
-                   (14, 50, 160, 180, 400, 800, 1200, 1600))
-        s = temperature_vs_h("xeon-e5-2667v4", hs, n_chips=4)
-        t = s.max_temp_c
-        assert all(a > b for a, b in zip(t, t[1:]))
-        # "non-negligible temperature reduction ... for h higher than
-        # water" on the high-power E5 chip:
-        i800 = hs.index(800.0)
-        assert t[i800] - t[-1] > 2.0
+    def test_water_beats_oil_per_chipcount(self, measured):
+        by = measured.grids[E5]
+        assert all(fw >= fo for fo, fw in zip(by["mineral_oil"].f_ghz,
+                                              by["water"].f_ghz))
 
 
 class TestFig15Rotation:
-    def test_flip_gain_about_13c(self):
-        gain = rotation_gain_c("high-frequency-cmp", "water", ghz(3.6))
-        assert gain == pytest.approx(paper.FLIP_GAIN_AT_36GHZ_C, abs=5.0)
-
-    def test_flip_enables_36ghz_for_water(self):
-        p = repro.quick_max_frequency("high-frequency-cmp", 4, "water",
-                                      flip=True)
-        assert p.f_ghz == pytest.approx(paper.FLIP_ENABLES_WATER_GHZ)
-
-    def test_water_beats_air_with_and_without_flip(self):
-        for flip in (False, True):
-            w = repro.quick_max_frequency("high-frequency-cmp", 4,
-                                          "water", flip=flip)
-            a = repro.quick_max_frequency("high-frequency-cmp", 4, "air",
-                                          flip=flip)
-            assert w.f_hz > a.f_hz or not a.feasible
-
-
-class TestFigs10to13Npb:
-    @pytest.fixture(scope="class")
-    def lp6(self):
-        return run_npb_comparison("low-power-cmp", 6,
-                                  reference="water_pipe")
-
-    @pytest.fixture(scope="class")
-    def lp8(self):
-        return run_npb_comparison("low-power-cmp", 8,
-                                  reference="mineral_oil")
-
-    def test_fig10_water_wins_every_benchmark(self, lp6):
-        rel = lp6.relative_times("water")
-        assert all(v < 1.0 for v in rel.values())
-
-    def test_fig10_average_in_paper_band(self, lp6):
-        gain = 1.0 - lp6.average_relative("water")
-        # Paper: up to 14% on average vs water pipe; accept 8-25%.
-        assert 0.08 <= gain <= 0.25
-
-    def test_fig11_pipe_is_infeasible(self, lp8):
-        assert not lp8.outcome("water_pipe").feasible
-
-    def test_fig11_water_vs_oil_about_4p5(self, lp8):
-        gain = 1.0 - lp8.average_relative("water")
-        assert gain == pytest.approx(paper.HEADLINE_VS_MINERAL_OIL,
-                                     abs=0.03)
-
-    def test_fig12_13_water_fastest(self):
-        for n in (6, 8):
-            c = run_npb_comparison("high-frequency-cmp", n,
-                                   reference="water_pipe")
-            for cool in ("mineral_oil", "fluorinert"):
-                assert (c.average_relative("water")
-                        <= c.average_relative(cool) + 1e-9)
-
-    def test_thread_counts_match_paper(self, lp6):
-        assert lp6.threads == paper.NPB_THREADS[6]
-
-
-class TestHeadline:
-    def test_headline_summary_signs(self):
-        from repro.core.cosim import headline_summary
-        h = headline_summary()
-        assert h["water_vs_water_pipe_avg_reduction"] > 0.10
-        assert h["water_vs_mineral_oil_avg_reduction"] == pytest.approx(
-            paper.HEADLINE_VS_MINERAL_OIL, abs=0.03)
+    def test_flip_gain_about_13c(self, measured):
+        check = next(a for a in ANCHORS
+                     if a.id == "fig15-flip-gain").check(measured)
+        assert check.passed, check.render()
+        # the row reads the ladders' top step: the paper's 3.6 GHz point
+        assert check.measured == pytest.approx(rotation_gain_c(
+            HF, "water", ghz(paper.FLIP_ENABLES_WATER_GHZ)))

@@ -1,37 +1,22 @@
-"""Tests for the programmatic validation report (fast sections only)."""
+"""The validation report (``repro report``, ``scripts/make_report.py``):
+the anchor table's rows, one section per figure or section."""
 
 from __future__ import annotations
 
-import pytest
-
-from repro.analysis.report import (
-    _facility_report,
-    _fig4_report,
-    _reliability_report,
-    _rotation_report,
-)
+from repro.analysis.anchors import ANCHORS, full_report, render_full_report
 
 
 class TestReportSections:
-    def test_fig4_section_all_pass(self):
-        rep = _fig4_report()
-        assert rep.passed == rep.total == 4
+    def test_rotation_section_all_pass(self, measured):
+        rep = next(r for r in full_report(measured)
+                   if r.experiment == "Fig. 15")
+        assert rep.passed == rep.total == sum(a.figure == "Fig. 15"
+                                              for a in ANCHORS)
 
-    def test_facility_section_all_pass(self):
-        rep = _facility_report()
-        assert rep.passed == rep.total == 2
-
-    def test_reliability_section_all_pass(self):
-        rep = _reliability_report()
-        assert rep.passed == rep.total
-
-    def test_rotation_section_all_pass(self):
-        rep = _rotation_report()
-        assert rep.passed == rep.total == 2
-
-    def test_render_contains_verdicts(self):
-        rep = _fig4_report()
-        text = rep.render()
-        assert "PASS" in text
-        assert "Fig. 4" in text
-        assert f"{rep.passed}/{rep.total}" in text
+    def test_render_contains_verdicts(self, measured):
+        text = render_full_report(measured)
+        n = len(ANCHORS)
+        assert text.startswith(f"paper-vs-measured validation: {n}/{n} checks")
+        assert "[PASS]" in text
+        for rep in full_report(measured):
+            assert f"== {rep.experiment}: {rep.passed}/{rep.total} ==" in text
