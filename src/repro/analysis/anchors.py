@@ -231,11 +231,11 @@ class Anchor:
         try:
             value = float(self.measure(measured))
         except ReproError as exc:
-            return Check(self.id, self.paper, math.nan, None, False,
+            return Check(self.id, self.paper, math.nan, False,
                          f"{note}; {exc}")
         passed = ((low is None or value >= low)
                   and (high is None or value <= high))
-        return Check(self.id, self.paper, value, None, passed, note)
+        return Check(self.id, self.paper, value, passed, note)
 
 
 #: A shape row's window: no violations.

@@ -20,34 +20,16 @@ class Check:
         paper: the published value (None when the paper gives only a
             qualitative statement).
         measured: this reproduction's value.
-        tolerance: acceptable |measured - paper| (absolute), or None
-            for qualitative checks judged by ``passed``.
-        passed: outcome; for quantitative checks computed from the
-            tolerance, for qualitative ones supplied by the caller.
+        passed: outcome, judged by the caller (an anchor row tests
+            ``measured`` against its window).
         note: context (units, where the paper states the value).
     """
 
     name: str
     paper: float | None
     measured: float
-    tolerance: float | None
     passed: bool
     note: str = ""
-
-    @classmethod
-    def quantitative(cls, name: str, paper: float, measured: float,
-                     tolerance: float, note: str = "") -> "Check":
-        """Build a tolerance-judged check."""
-        return cls(name=name, paper=paper, measured=measured,
-                   tolerance=tolerance,
-                   passed=abs(measured - paper) <= tolerance, note=note)
-
-    @classmethod
-    def qualitative(cls, name: str, measured: float, passed: bool,
-                    note: str = "") -> "Check":
-        """Build a caller-judged check (ordering, feasibility...)."""
-        return cls(name=name, paper=None, measured=measured,
-                   tolerance=None, passed=passed, note=note)
 
     def render(self) -> str:
         """One-line textual form."""

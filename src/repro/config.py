@@ -176,19 +176,14 @@ class ExperimentSpec:
         return asdict(self)
 
     @classmethod
-    def from_dict(cls, data: dict, *, strict: bool = True
-                  ) -> "ExperimentSpec":
+    def from_dict(cls, data: dict) -> "ExperimentSpec":
         """Inverse of :meth:`to_dict` (tuples restored).
 
-        Args:
-            data: the spec as a plain dict (e.g. parsed JSON).
-            strict: reject unknown top-level keys with a
-                :class:`~repro.errors.ConfigurationError` naming them.
-                A typoed key silently ignored would run a *different*
-                experiment than the one requested — and silently
-                collide in the serve-layer result cache. ``False``
-                drops unknown keys (forward-compat readers of old
-                result logs).
+        Unknown top-level keys are a
+        :class:`~repro.errors.ConfigurationError` naming them: a typoed
+        key silently ignored would run a *different* experiment than
+        the one requested — and silently collide in the serve-layer
+        result cache.
         """
         from .thermal.package import PackageParams
         what = "ExperimentSpec"
@@ -199,13 +194,10 @@ class ExperimentSpec:
         known = {f.name for f in dataclass_fields(cls)}
         unknown = sorted(set(d) - known)
         if unknown:
-            if strict:
-                raise ConfigurationError(
-                    f"unknown {what} key(s): "
-                    f"{', '.join(repr(k) for k in unknown)} "
-                    f"(known keys: {', '.join(sorted(known))})")
-            for k in unknown:
-                d.pop(k)
+            raise ConfigurationError(
+                f"unknown {what} key(s): "
+                f"{', '.join(repr(k) for k in unknown)} "
+                f"(known keys: {', '.join(sorted(known))})")
         _type_scalars(cls, d, what)
         benchmarks = d.get("benchmarks")
         if benchmarks is not None:

@@ -18,11 +18,11 @@ order. Determinism is a contract, not an accident:
   so the stream is a two-pointer merge of two pre-sorted lists under
   that key, with one step event per step boundary; no heap is built.
 * **Canonical log lines.** :func:`canonical_event_line` renders an
-  event dict as sorted-key, compact JSON — the byte form the
+  event record as sorted-key, compact JSON — the byte form the
   same-seed-twice regression test compares and the result digest
-  hashes. The simulator's record shapes render through per-kind
-  f-strings that give exactly ``json.dumps``'s bytes; any other dict
-  goes through ``json.dumps`` itself.
+  hashes. Each of the seven kinds the simulator emits has one f-string
+  that gives exactly ``json.dumps``'s bytes; a record of any other
+  kind, or with a key missing or extra, raises.
 
 ``tests/test_fleet.py::TestEventQueue`` pins the tie-break and
 ``TestEventLines`` the line bytes; ``TestDeterminism`` and
@@ -32,11 +32,7 @@ and commits.
 
 from __future__ import annotations
 
-import json
-import math
 from typing import Any, Callable, Iterator, Sequence
-
-from .faults import FLEET_FAULT_KINDS
 
 __all__ = [
     "EVENT_KIND_RANK",
@@ -106,77 +102,55 @@ def event_stream(arrivals: Sequence, faults: Sequence, step_us: int,
 
 
 # --- canonical lines ---------------------------------------------------------
-# One renderer per record shape the simulator emits. Each returns the
-# line only when the record is exactly that shape with plain int/float
-# values (a finite float renders as float.__repr__, as json does) and
-# None otherwise, which sends the record to json.dumps. A renderer may
-# skip the key check of a key it reads: ``get`` of a missing key gives
-# None, which no type test accepts, and the length test rules out
-# extra keys.
-
-_FAULT_KINDS = frozenset(FLEET_FAULT_KINDS)
-_FAULT_SCOPES = frozenset(FLEET_FAULT_KINDS.values())
+# One f-string per kind the simulator emits: sorted keys, ints as str and
+# floats as float.__repr__, as json.dumps writes them. A missing key is
+# a KeyError, an extra one fails the length test; values are unchecked.
 
 
-def _arrival(r: dict) -> str | None:
-    t, job, work = r.get("t_us"), r.get("job"), r.get("work")
-    if (len(r) == 4 and type(t) is int and type(job) is int
-            and type(work) is float and math.isfinite(work)):
-        return (f'{{"ev":"arrival","job":{job},"t_us":{t},'
-                f'"work":{float.__repr__(work)}}}')
-    return None
+def _arrival(r: dict) -> str:
+    if len(r) != 4:
+        raise ValueError("a key too many")
+    return (f'{{"ev":"arrival","job":{r["job"]},"t_us":{r["t_us"]},'
+            f'"work":{float.__repr__(r["work"])}}}')
 
 
-def _dispatch(r: dict) -> str | None:
-    t, job, tank, board = (r.get("t_us"), r.get("job"), r.get("tank"),
-                           r.get("board"))
-    if (len(r) == 5 and type(t) is int and type(job) is int
-            and type(tank) is int and type(board) is int):
-        return (f'{{"board":{board},"ev":"dispatch","job":{job},'
-                f'"t_us":{t},"tank":{tank}}}')
-    return None
+def _dispatch(r: dict) -> str:
+    if len(r) != 5:
+        raise ValueError("a key too many")
+    return (f'{{"board":{r["board"]},"ev":"dispatch","job":{r["job"]},'
+            f'"t_us":{r["t_us"]},"tank":{r["tank"]}}}')
 
 
-def _complete(r: dict) -> str | None:
-    t, job = r.get("t_us"), r.get("job")
-    if len(r) == 3 and type(t) is int and type(job) is int:
-        return f'{{"ev":"complete","job":{job},"t_us":{t}}}'
-    return None
+def _complete(r: dict) -> str:
+    if len(r) != 3:
+        raise ValueError("a key too many")
+    return f'{{"ev":"complete","job":{r["job"]},"t_us":{r["t_us"]}}}'
 
 
-def _fault_or_repair(r: dict) -> str | None:
-    t, idx, kind, scope = (r.get("t_us"), r.get("idx"), r.get("kind"),
-                           r.get("scope"))
-    if not (type(t) is int and type(idx) is int
-            and type(kind) is str and kind in _FAULT_KINDS
-            and type(scope) is str and scope in _FAULT_SCOPES):
-        return None
-    head = f'{{"ev":"{r["ev"]}","idx":{idx},"kind":"{kind}",'
+def _fault_or_repair(r: dict) -> str:
+    head = f'{{"ev":"{r["ev"]}","idx":{r["idx"]},"kind":"{r["kind"]}",'
+    tail = f'"scope":"{r["scope"]}","t_us":{r["t_us"]}}}'
     if len(r) == 5:
-        return f'{head}"scope":"{scope}","t_us":{t}}}'
-    requeued = r.get("requeued")
-    if len(r) == 6 and type(requeued) is int:
-        return f'{head}"requeued":{requeued},"scope":"{scope}","t_us":{t}}}'
-    return None
+        return head + tail
+    if len(r) == 6:
+        return f'{head}"requeued":{r["requeued"]},{tail}'
+    raise ValueError("a key too many")
 
 
-def _isolate(r: dict) -> str | None:
-    t, tank, requeued = r.get("t_us"), r.get("tank"), r.get("requeued")
-    if (len(r) == 4 and type(t) is int and type(tank) is int
-            and type(requeued) is int):
-        return (f'{{"ev":"isolate","requeued":{requeued},"t_us":{t},'
-                f'"tank":{tank}}}')
-    return None
+def _isolate(r: dict) -> str:
+    if len(r) != 4:
+        raise ValueError("a key too many")
+    return (f'{{"ev":"isolate","requeued":{r["requeued"]},'
+            f'"t_us":{r["t_us"]},"tank":{r["tank"]}}}')
 
 
-def _deisolate(r: dict) -> str | None:
-    t, tank = r.get("t_us"), r.get("tank")
-    if len(r) == 3 and type(t) is int and type(tank) is int:
-        return f'{{"ev":"deisolate","t_us":{t},"tank":{tank}}}'
-    return None
+def _deisolate(r: dict) -> str:
+    if len(r) != 3:
+        raise ValueError("a key too many")
+    return f'{{"ev":"deisolate","t_us":{r["t_us"]},"tank":{r["tank"]}}}'
 
 
-_RENDERERS: dict[str, Callable[[dict], str | None]] = {
+_RENDERERS: dict[str, Callable[[dict], str]] = {
     "arrival": _arrival,
     "dispatch": _dispatch,
     "complete": _complete,
@@ -190,16 +164,17 @@ _RENDERERS: dict[str, Callable[[dict], str | None]] = {
 def canonical_event_line(record: dict[str, Any]) -> str:
     """The canonical byte form of one event-log record.
 
-    Sorted keys, compact separators, no trailing newline — identical
-    input dicts give identical bytes, which is the form the
+    Sorted keys, compact separators, no trailing newline: the bytes
+    ``json.dumps(record, sort_keys=True, separators=(",", ":"))`` gives
+    for the simulator's records, written by one f-string per kind.
+    Identical records give identical bytes, which is the form the
     same-seed regression test and the result digest are stated over.
-    Always equal to ``json.dumps(record, sort_keys=True,
-    separators=(",", ":"))``; the simulator's own record shapes take a
-    per-kind f-string instead of the encoder.
+
+    Raises:
+        ValueError: the record is of no kind the simulator emits, or
+            has a key missing or one too many.
     """
-    ev = record.get("ev")
-    render = _RENDERERS.get(ev) if type(ev) is str else None
-    line = render(record) if render is not None else None
-    if line is None:
-        line = json.dumps(record, sort_keys=True, separators=(",", ":"))
-    return line
+    try:
+        return _RENDERERS[record["ev"]](record)
+    except (KeyError, ValueError) as exc:
+        raise ValueError(f"not a fleet event record: {record!r}") from exc

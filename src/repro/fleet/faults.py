@@ -179,7 +179,8 @@ class FleetFaultPlan:
         require_finite(self, "fault plan")
         for name in ("aging_years_per_sim_hour", "chip_mttf_years",
                      "pump_loss_per_tank_hour", "fouling_per_tank_hour",
-                     "sensor_fault_per_tank_hour"):
+                     "sensor_fault_per_tank_hour", "emergency_margin_c",
+                     "isolation_margin_c"):
             if getattr(self, name) < 0:
                 raise ConfigurationError(
                     f"{name} cannot be negative, got "
@@ -197,11 +198,6 @@ class FleetFaultPlan:
             if getattr(self, name) <= 0:
                 raise ConfigurationError(
                     f"{name} must be positive, got {getattr(self, name)}")
-        for name in ("emergency_margin_c", "isolation_margin_c"):
-            if getattr(self, name) < 0:
-                raise ConfigurationError(
-                    f"{name} cannot be negative, got "
-                    f"{getattr(self, name)}")
 
     @property
     def is_null(self) -> bool:
@@ -253,14 +249,21 @@ class FleetFaultEvent:
                 f"{FLEET_FAULT_KINDS[self.kind]!r}, got {self.scope!r}")
 
 
-def _pair_times(fail_h: float, repair_h: float,
-                horizon_us: int) -> tuple[int, int | None]:
-    """Integer-µs (fault, repair) times; repair strictly after the
-    fault (so the same-instant repair-before-fault rank order can never
-    orphan a failure) and ``None`` when past the horizon."""
+def _schedule(out: list[FleetFaultEvent], fail_h: float, repair_h: float,
+              horizon_us: int, kind: str, scope: str,
+              index: int) -> float | None:
+    """Append a fault and its repair (strictly after it, so the repair-
+    before-fault rank order never orphans a failure); the hour the next
+    fault draws from, or None once past the horizon."""
     fail_us = int(round(fail_h * _US_PER_HOUR))
     repair_us = max(int(round(repair_h * _US_PER_HOUR)), fail_us + 1)
-    return fail_us, (repair_us if repair_us < horizon_us else None)
+    if fail_us >= horizon_us:
+        return None
+    out.append(FleetFaultEvent(fail_us, "fault", kind, scope, index))
+    if repair_us >= horizon_us:
+        return None             # down through the horizon: no repair
+    out.append(FleetFaultEvent(repair_us, "repair", kind, scope, index))
+    return repair_us / _US_PER_HOUR
 
 
 def _wear_timeline(plan: FleetFaultPlan, n_boards: int, seed: int,
@@ -294,15 +297,10 @@ def _wear_timeline(plan: FleetFaultPlan, n_boards: int, seed: int,
                 life_h = life_chip_h
             fail_h = t_h + life_h
             fixed_h = fail_h + rng.expovariate(1.0 / repair_mean)
-            fail_us, repair_us = _pair_times(fail_h, fixed_h, horizon_us)
-            if fail_us >= horizon_us:
+            t_h = _schedule(out, fail_h, fixed_h, horizon_us, kind,
+                            "board", b)
+            if t_h is None:
                 break
-            out.append(FleetFaultEvent(fail_us, "fault", kind, "board", b))
-            if repair_us is None:
-                break           # down through the horizon: no repair
-            out.append(FleetFaultEvent(repair_us, "repair", kind,
-                                       "board", b))
-            t_h = repair_us / _US_PER_HOUR
 
 
 def _renewal_timeline(site: str, kinds, rate_per_h: float,
@@ -324,15 +322,10 @@ def _renewal_timeline(site: str, kinds, rate_per_h: float,
             fail_h = t_h + rng.expovariate(rate_per_h)
             kind = kinds(rng) if callable(kinds) else kinds
             fixed_h = fail_h + rng.expovariate(1.0 / repair_mean_h)
-            fail_us, repair_us = _pair_times(fail_h, fixed_h, horizon_us)
-            if fail_us >= horizon_us:
+            t_h = _schedule(out, fail_h, fixed_h, horizon_us, kind,
+                            "tank", i)
+            if t_h is None:
                 break
-            out.append(FleetFaultEvent(fail_us, "fault", kind, "tank", i))
-            if repair_us is None:
-                break
-            out.append(FleetFaultEvent(repair_us, "repair", kind,
-                                       "tank", i))
-            t_h = repair_us / _US_PER_HOUR
 
 
 def generate_fault_timeline(plan: FleetFaultPlan, config,

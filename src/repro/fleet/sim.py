@@ -39,8 +39,11 @@ The step loop
 Every scenario's events come out of one merged stream
 (:func:`~repro.fleet.events.event_stream`): the time-ordered arrivals,
 the fault timeline sorted once, and one step event per step boundary,
-in the ``(time_us, kind rank, sequence)`` order. Each step then works
-on the whole fleet at once:
+in the ``(time_us, kind rank, sequence)`` order. One ``FleetState``
+holds everything a run changes; each event is one of its methods, and
+so is each phase of a step (DTM lookup, placement, progress, tank
+balance), called in that order. Each step works on the whole fleet at
+once:
 
 * **Board state is arrays.** Per board, a row of slots holds each
   running job's remaining Gcycles and job id, occupied slots first in
@@ -55,9 +58,9 @@ on the whole fleet at once:
   each queued job is then one O(log V) pick
   (:mod:`repro.fleet.policies`).
 * **The log is fed per step.** Each line is one
-  :func:`~repro.fleet.events.canonical_event_line` call; the digest,
-  the streamed file and the kept log take the step's lines together,
-  the same bytes as line by line.
+  :func:`~repro.fleet.events.canonical_event_line` call; the digest
+  and the streamed file take the step's lines together, the same
+  bytes as line by line.
 
 The per-tank work (DTM lookup, energy balance) stays a loop over the
 tanks, a few dozen at most.
@@ -102,7 +105,7 @@ from __future__ import annotations
 import hashlib
 import json
 import time
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass
 from typing import Any, IO, Sequence
 
@@ -115,7 +118,7 @@ from ..parallel import ParallelConfig, run_chunked
 from ..power.processors import get_chip
 from ..thermal.hotspot import model_for
 from .events import canonical_event_line, event_stream
-from .faults import FleetFaultPlan, generate_fault_timeline
+from .faults import FleetFaultEvent, FleetFaultPlan, generate_fault_timeline
 from .model import FleetConfig, FleetScenario
 from .policies import StepBoards, get_policy
 from .workload import FleetJob, generate_arrivals
@@ -234,7 +237,6 @@ class FleetResult:
     throttled_board_steps: int
     stalled_board_steps: int
     event_digest: str
-    events: tuple[str, ...] | None = None
     #: availability/goodput/MTTR accounting — None unless the scenario
     #: carried a fault plan
     availability: dict[str, Any] | None = None
@@ -314,17 +316,13 @@ class FleetResult:
 
 
 def simulate(scenario: FleetScenario, *,
-             events_file: IO[str] | None = None,
-             keep_events: bool = False) -> FleetResult:
+             events_file: IO[str] | None = None) -> FleetResult:
     """Run one scenario to completion.
 
     Args:
         scenario: plant + workload + policy + seed + duration.
         events_file: optional text stream; every event-log line is
             written there as it happens (streaming, bounded memory).
-        keep_events: also return the full log on
-            :attr:`FleetResult.events` (tests; large runs should
-            stream instead).
 
     Returns:
         The :class:`FleetResult`; deterministic in the scenario alone.
@@ -333,7 +331,7 @@ def simulate(scenario: FleetScenario, *,
     t_wall0 = time.perf_counter()
     with span("fleet.run", policy=scenario.policy, tanks=cfg.n_tanks,
               boards=cfg.n_boards, steps=scenario.n_steps):
-        result = _simulate_inner(scenario, events_file, keep_events)
+        result = _simulate_inner(scenario, events_file)
     wall_s = time.perf_counter() - t_wall0
     counter("fleet.scenarios").inc()
     counter("fleet.steps").inc(result.steps)
@@ -373,300 +371,337 @@ def simulate(scenario: FleetScenario, *,
 
 
 def _simulate_inner(scenario: FleetScenario,
-                    events_file: IO[str] | None,
-                    keep_events: bool) -> FleetResult:
-    cfg = scenario.fleet
-    ladder = build_board_ladder(cfg)
-    policy = get_policy(scenario.policy)
-    policy.reset()
+                    events_file: IO[str] | None) -> FleetResult:
+    state = FleetState(scenario, events_file)
+    for t_us, kind, payload in event_stream(
+            state.arrivals, state.timeline, state.step_us, state.n_steps):
+        if kind == "arrival":
+            state.arrival(t_us, payload)
+        elif kind == "step":
+            f_idx, f_ghz, headroom = state.dtm_lookup(t_us)
+            state.place(t_us, f_ghz, headroom)
+            busy_per_tank = state.progress(t_us, f_ghz)
+            state.balance(f_idx, busy_per_tank)
+            state.flush()
+        elif kind == "stop":
+            break
+        else:
+            state.fault_or_repair(t_us, kind, payload)
+    state.flush()
+    return state.report()
 
-    step_us = int(round(cfg.step_s * 1e6))
-    if step_us <= 0:
-        raise ConfigurationError("step_s is below 1 microsecond")
-    n_steps = scenario.n_steps
-    dt = cfg.step_s
-    # arrivals past the last whole step would never be processed;
-    # generate against the simulated horizon, not the raw duration
-    arrivals = generate_arrivals(scenario.workload, scenario.seed,
-                                 n_steps * dt)
 
-    n_tanks, bpt = cfg.n_tanks, cfg.boards_per_tank
-    n_boards = cfg.n_boards
-    slots = cfg.slots_per_board
-    supply = cfg.supply_temp_c
-    cap_rate = cfg.heat_capacity_rate_w_k()
-    heat_cap = cfg.tank_heat_capacity_j_k()
-    coupling = cfg.coupling
+class FleetState:
+    """Everything one run changes (the step loop's private state);
+    each method is one event or one phase of a step."""
 
-    # --- fault engine state (no plan: the inert plan's empty timeline)
-    plan = scenario.faults or FleetFaultPlan()
-    with span("fleet.faults.timeline", boards=n_boards, tanks=n_tanks):
-        timeline = generate_fault_timeline(plan, cfg, scenario.seed,
-                                           n_steps * dt)
-    trip_water_c = cfg.effective_threshold_c() - plan.isolation_margin_c
-    dead_in_tank = [0] * n_tanks
-    pump_ok = [True] * n_tanks
-    fouled = [False] * n_tanks
-    isolated = [False] * n_tanks
-    sensor_stuck: list[float | None] = [None] * n_tanks
-    sensor_delta = [0.0] * n_tanks
-    incidents: list[dict[str, Any]] = []
-    open_inc: dict[tuple[str, str, int], dict[str, Any]] = {}
-    down_board_steps = jobs_requeued = 0
-    dtm_override_steps = emergency_clamp_steps = isolations = 0
-    peak_board_temp = 0.0
+    def __init__(self, scenario: FleetScenario,
+                 events_file: IO[str] | None) -> None:
+        cfg = self.cfg = scenario.fleet
+        self.scenario = scenario
+        self.ladder = build_board_ladder(cfg)
+        self.policy = get_policy(scenario.policy)
+        self.policy.reset()
+        self.step_us = int(round(cfg.step_s * 1e6))
+        if self.step_us <= 0:
+            raise ConfigurationError("step_s is below 1 microsecond")
+        self.n_steps, self.dt = scenario.n_steps, cfg.step_s
+        # arrivals past the last whole step would never be processed;
+        # generate against the simulated horizon, not the raw duration
+        horizon_s = self.n_steps * self.dt
+        self.arrivals = generate_arrivals(scenario.workload, scenario.seed,
+                                          horizon_s)
+        n_tanks, n_boards = cfg.n_tanks, cfg.n_boards
+        self.n_tanks, self.bpt = n_tanks, cfg.boards_per_tank
+        self.slots = slots = cfg.slots_per_board
+        self.cap_rate = cfg.heat_capacity_rate_w_k()
+        self.heat_cap = cfg.tank_heat_capacity_j_k()
 
-    water = [supply] * n_tanks           # step-start tank temps
-    peak_water = [supply] * n_tanks
-    # board state: one row of slots per board, the ``running[b]``
-    # occupied slots first, in placement order
-    remaining = np.zeros((n_boards, slots))
-    job_ids = np.zeros((n_boards, slots), dtype=np.int64)
-    running = np.zeros(n_boards, dtype=np.int64)
-    board_down = np.zeros(n_boards, dtype=bool)
-    slot_index = np.arange(slots)
-    # acc[0] carries ``work_done`` into the step's sequential sum over
-    # ``used``, each slot's Gcycles retired this step
-    acc = np.empty(n_boards * slots + 1)
-    used = acc[1:].reshape(n_boards, slots)
-    pending: deque[FleetJob] = deque()
+        # --- fault engine state (no plan: the inert plan's empty timeline)
+        self.plan = plan = scenario.faults or FleetFaultPlan()
+        with span("fleet.faults.timeline", boards=n_boards, tanks=n_tanks):
+            self.timeline = generate_fault_timeline(plan, cfg, scenario.seed,
+                                                    horizon_s)
+        self.trip_water_c = (cfg.effective_threshold_c()
+                             - plan.isolation_margin_c)
+        self.dead_in_tank = [0] * n_tanks
+        self.pump_ok = [True] * n_tanks
+        self.fouled = [False] * n_tanks
+        self.isolated = [False] * n_tanks
+        self.sensor_stuck: list[float | None] = [None] * n_tanks
+        self.sensor_delta = [0.0] * n_tanks
+        self.incidents: list[dict[str, Any]] = []
+        self.open_inc: dict[tuple[str, str, int], dict[str, Any]] = {}
+        self.down_board_steps = self.dtm_override_steps = 0
+        self.emergency_clamp_steps = 0
+        self.peak_board_temp = 0.0
 
-    def _requeue_board(b: int, t_us: int) -> int:
+        self.water = [cfg.supply_temp_c] * n_tanks  # step-start temps
+        self.peak_water = self.water[:]
+        # board state: one row of slots per board, the ``running[b]``
+        # occupied slots first, in placement order
+        self.remaining = np.zeros((n_boards, slots))
+        self.job_ids = np.zeros((n_boards, slots), dtype=np.int64)
+        self.running = np.zeros(n_boards, dtype=np.int64)
+        self.board_down = np.zeros(n_boards, dtype=bool)
+        self.slot_index = np.arange(slots)
+        # acc[0] carries ``work_done`` into the step's sequential sum
+        # over ``used``, each slot's Gcycles retired this step
+        self.acc = np.empty(n_boards * slots + 1)
+        self.used = self.acc[1:].reshape(n_boards, slots)
+        self.pending: deque[FleetJob] = deque()
+
+        # event-log lines collect per step; the digest and the stream
+        # take them a step at a time (the same bytes as per line)
+        self.digest = hashlib.sha256()
+        self.events_file = events_file
+        self.lines: list[str] = []
+        self.emit = self.lines.append
+
+        self.generated_j = self.removed_j = self.work_done = 0.0
+        self.dispatched = self.completed = 0
+        self.throttled_steps = self.stalled_steps = 0
+
+    def arrival(self, t_us: int, job: FleetJob) -> None:
+        """A job joins the back of the queue."""
+        self.pending.append(job)
+        self.emit(canonical_event_line({
+            "t_us": t_us, "ev": "arrival", "job": job.job_id,
+            "work": job.work_gcycles}))
+
+    def fault_or_repair(self, t_us: int, kind: str,
+                        fe: FleetFaultEvent) -> None:
+        """A fault sets its resource's state, the repair clears it."""
+        on = kind == "fault"
+        i = fe.index
+        n_req = 0
+        if fe.scope == "board":      # board_retire / chip_death
+            if on:
+                n_req = self.requeue_board(i, t_us)
+            if self.board_down[i] != on:
+                self.board_down[i] = on
+                self.dead_in_tank[i // self.bpt] += 1 if on else -1
+        elif fe.kind == "pump_loss":
+            self.pump_ok[i] = not on
+        elif fe.kind == "fouling":
+            self.fouled[i] = on
+        elif fe.kind == "sensor_stuck":
+            self.sensor_stuck[i] = self.water[i] if on else None
+        else:                        # sensor_offset
+            self.sensor_delta[i] = self.plan.sensor_offset_c if on else 0.0
+        record = {"t_us": t_us, "ev": kind, "kind": fe.kind,
+                  "scope": fe.scope, "idx": i}
+        if on:
+            record["requeued"] = n_req
+            self.open_incident(fe.kind, fe.scope, i, t_us, n_req)
+        else:
+            self.close_incident(fe.kind, fe.scope, i, t_us)
+        self.emit(canonical_event_line(record))
+        if not on and fe.kind == "pump_loss" and self.isolated[i]:
+            # circulation is back: reopen the tank to the loop
+            self.isolated[i] = False
+            self.close_incident("tank_isolated", "tank", i, t_us)
+            self.emit(canonical_event_line(
+                {"t_us": t_us, "ev": "deisolate", "tank": i}))
+
+    def requeue_board(self, b: int, t_us: int) -> int:
         """Pull a failed/isolated board's jobs back to the queue head.
 
         Remaining work is preserved and jobs re-enter ``pending`` in
         job-id order ahead of waiting arrivals, so the next step's
         policy pass re-places them — deterministically.
         """
-        n = int(running[b])
+        n = int(self.running[b])
         if not n:
             return 0
-        on_board = zip(job_ids[b, :n].tolist(), remaining[b, :n].tolist())
+        on_board = zip(self.job_ids[b, :n].tolist(),
+                       self.remaining[b, :n].tolist())
         for job_id, work in sorted(on_board, reverse=True):
-            pending.appendleft(FleetJob(job_id=job_id, time_us=t_us,
-                                        work_gcycles=work))
-        running[b] = 0
+            self.pending.appendleft(FleetJob(job_id=job_id, time_us=t_us,
+                                             work_gcycles=work))
+        self.running[b] = 0
         return n
 
-    def _open_incident(kind: str, scope: str, index: int, t_us: int,
-                       requeued: int) -> None:
-        inc = {"id": len(incidents), "kind": kind, "scope": scope,
+    def open_incident(self, kind: str, scope: str, index: int, t_us: int,
+                      requeued: int) -> None:
+        inc = {"id": len(self.incidents), "kind": kind, "scope": scope,
                "index": index, "t_start_us": t_us, "t_end_us": None,
                "jobs_requeued": requeued}
-        incidents.append(inc)
-        open_inc[(kind, scope, index)] = inc
+        self.incidents.append(inc)
+        self.open_inc[(kind, scope, index)] = inc
 
-    def _close_incident(kind: str, scope: str, index: int,
-                        t_us: int) -> None:
-        inc = open_inc.pop((kind, scope, index), None)
+    def close_incident(self, kind: str, scope: str, index: int,
+                       t_us: int) -> None:
+        inc = self.open_inc.pop((kind, scope, index), None)
         if inc is not None:
             inc["t_end_us"] = t_us
 
-    # event-log lines collect per step; the digest, the stream and the
-    # kept log take them a step at a time (the same bytes as per line)
-    digest = hashlib.sha256()
-    kept: list[str] | None = [] if keep_events else None
-    lines: list[str] = []
-    emit = lines.append
+    def flush(self) -> None:
+        """Hand the collected lines to the digest and the stream."""
+        if self.lines:
+            chunk = "\n".join(self.lines) + "\n"
+            self.digest.update(chunk.encode())
+            if self.events_file is not None:
+                self.events_file.write(chunk)
+            self.lines.clear()
 
-    def flush() -> None:
-        if lines:
-            chunk = "\n".join(lines) + "\n"
-            digest.update(chunk.encode())
-            if events_file is not None:
-                events_file.write(chunk)
-            if kept is not None:
-                kept.extend(lines)
-            lines.clear()
+    def dtm_lookup(self, t_us: int
+                   ) -> tuple[list[int | None], np.ndarray, list[float]]:
+        """Each tank's ladder step (None: stalled), GHz and headroom.
 
-    generated_j = removed_j = 0.0
-    work_done = 0.0
-    dispatched = completed = 0
-    throttled_steps = stalled_steps = 0
-    top_step = len(ladder.freqs_ghz) - 1
-
-    for t_us, kind, payload in event_stream(arrivals, timeline, step_us,
-                                            n_steps):
-        if kind == "arrival":
-            pending.append(payload)
-            emit(canonical_event_line({
-                "t_us": t_us, "ev": "arrival", "job": payload.job_id,
-                "work": payload.work_gcycles}))
-            continue
-        if kind == "stop":
-            break
-        if kind in ("fault", "repair"):
-            # a fault sets its resource's state, the repair clears it
-            fe = payload
-            on = kind == "fault"
-            i = fe.index
-            n_req = 0
-            if fe.scope == "board":      # board_retire / chip_death
-                if on:
-                    n_req = _requeue_board(i, t_us)
-                if board_down[i] != on:
-                    board_down[i] = on
-                    dead_in_tank[i // bpt] += 1 if on else -1
-            elif fe.kind == "pump_loss":
-                pump_ok[i] = not on
-            elif fe.kind == "fouling":
-                fouled[i] = on
-            elif fe.kind == "sensor_stuck":
-                sensor_stuck[i] = water[i] if on else None
-            else:                        # sensor_offset
-                sensor_delta[i] = plan.sensor_offset_c if on else 0.0
-            record = {"t_us": t_us, "ev": kind, "kind": fe.kind,
-                      "scope": fe.scope, "idx": i}
-            if on:
-                record["requeued"] = n_req
-                jobs_requeued += n_req
-                _open_incident(fe.kind, fe.scope, i, t_us, n_req)
-            else:
-                _close_incident(fe.kind, fe.scope, i, t_us)
-            emit(canonical_event_line(record))
-            if not on and fe.kind == "pump_loss" and isolated[i]:
-                # circulation is back: reopen the tank to the loop
-                isolated[i] = False
-                _close_incident("tank_isolated", "tank", i, t_us)
-                emit(canonical_event_line(
-                    {"t_us": t_us, "ev": "deisolate", "tank": i}))
-            continue
-
-        # --- per-tank DTM response from step-start water temps -------
-        # The DTM controller reads the tank *sensor* (which may be
-        # stuck or offset), pump-lost tanks get an emergency derate
-        # margin, and an on-die override clamps against the true water
-        # temperature regardless — a lying sensor can waste
-        # performance, never violate the threshold. With no fault
-        # active the target is the water temperature itself: one
-        # lookup.
-        f_idx: list[int | None] = [None] * n_tanks
-        headroom: list[float] = [0.0] * n_tanks
-        for i in range(n_tanks):
+        The DTM controller reads the tank *sensor* (which may be stuck
+        or offset), pump-lost tanks get an emergency derate margin, and
+        an on-die override clamps against the true water temperature
+        regardless — a lying sensor can waste performance, never
+        violate the threshold. With no fault active the target is the
+        water temperature itself: one lookup.
+        """
+        ladder, plan, water = self.ladder, self.plan, self.water
+        pump_ok, isolated = self.pump_ok, self.isolated
+        f_idx: list[int | None] = [None] * self.n_tanks
+        headroom: list[float] = [0.0] * self.n_tanks
+        for i in range(self.n_tanks):
             if (plan.isolate_on_pump_loss and not pump_ok[i]
-                    and not isolated[i] and water[i] >= trip_water_c):
+                    and not isolated[i] and water[i] >= self.trip_water_c):
                 # runaway response: power the tank off and valve it
                 # out of the loop before the water reaches the cap
                 isolated[i] = True
-                isolations += 1
-                n_req = 0
-                for b in range(i * bpt, (i + 1) * bpt):
-                    n_req += _requeue_board(b, t_us)
-                jobs_requeued += n_req
-                _open_incident("tank_isolated", "tank", i, t_us, n_req)
-                emit(canonical_event_line({"t_us": t_us, "ev": "isolate",
-                                           "tank": i, "requeued": n_req}))
+                n_req = sum(self.requeue_board(b, t_us)
+                            for b in range(i * self.bpt, (i + 1) * self.bpt))
+                self.open_incident("tank_isolated", "tank", i, t_us, n_req)
+                self.emit(canonical_event_line({
+                    "t_us": t_us, "ev": "isolate", "tank": i,
+                    "requeued": n_req}))
             if isolated[i]:
-                f_idx[i] = None
                 headroom[i] = ladder.stall_water_c - water[i]
                 continue
-            reading = sensor_stuck[i]
+            reading = self.sensor_stuck[i]
             if reading is None:
-                reading = water[i] + sensor_delta[i]
+                reading = water[i] + self.sensor_delta[i]
             target = reading
             if not pump_ok[i]:
                 target = reading + plan.emergency_margin_c
-                emergency_clamp_steps += 1
+                self.emergency_clamp_steps += 1
             idx = ladder.step_for_water(water[i])     # on-die bound
             if target != water[i]:
                 idx_s = ladder.step_for_water(target)
                 if idx_s is None:
                     idx = None
                 elif idx is None or idx < idx_s:
-                    dtm_override_steps += 1   # the on-die bound wins
+                    self.dtm_override_steps += 1  # the on-die bound wins
                 else:
                     idx = idx_s
             f_idx[i] = idx
             headroom[i] = ladder.stall_water_c - reading
-
         # each tank's clock this step (0.0 where the DTM stalls it)
         f_ghz = np.array([ladder.freqs_ghz[idx] if idx is not None
                           else 0.0 for idx in f_idx])
+        return f_idx, f_ghz, headroom
 
-        # --- dispatch pending jobs through the policy -----------------
-        # the views: every up board with a free slot, in board order,
-        # filed once in the policy's order; each job is one pick
-        if pending:
-            open_ = (running < slots) & ~board_down
-            for tank in range(n_tanks):
-                if isolated[tank]:       # powered-off tanks take no work
-                    open_[tank * bpt:(tank + 1) * bpt] = False
-            free_b = np.flatnonzero(open_)
-            if free_b.size:
-                tank_b = free_b // bpt
-                run_b = running[free_b]
-                free = policy.free_boards(StepBoards(
-                    free_b.tolist(), tank_b.tolist(), run_b.tolist(),
-                    (slots - run_b).tolist(), f_ghz[tank_b].tolist(),
-                    np.array(headroom)[tank_b].tolist()))
-                while pending and free:
-                    choice = policy.select(free)
-                    job = pending.popleft()
-                    b, slot = choice.board, choice.running
-                    job_ids[b, slot] = job.job_id
-                    remaining[b, slot] = job.work_gcycles
-                    running[b] = slot + 1
-                    dispatched += 1
-                    emit(canonical_event_line({
-                        "t_us": t_us, "ev": "dispatch", "job": job.job_id,
-                        "tank": choice.tank, "board": b}))
+    def place(self, t_us: int, f_ghz: np.ndarray,
+              headroom: list[float]) -> None:
+        """Dispatch pending jobs: every up board with a free slot is
+        filed once in the policy's order; each job is one pick."""
+        if not self.pending:
+            return
+        running, bpt, slots = self.running, self.bpt, self.slots
+        open_ = (running < slots) & ~self.board_down
+        for tank in range(self.n_tanks):
+            if self.isolated[tank]:      # powered-off tanks take no work
+                open_[tank * bpt:(tank + 1) * bpt] = False
+        free_b = np.flatnonzero(open_)
+        if not free_b.size:
+            return
+        tank_b = free_b // bpt
+        run_b = running[free_b]
+        policy, pending = self.policy, self.pending
+        free = policy.free_boards(StepBoards(
+            free_b.tolist(), tank_b.tolist(), run_b.tolist(),
+            (slots - run_b).tolist(), f_ghz[tank_b].tolist(),
+            np.array(headroom)[tank_b].tolist()))
+        while pending and free:
+            choice = policy.select(free)
+            job = pending.popleft()
+            b, slot = choice.board, choice.running
+            self.job_ids[b, slot] = job.job_id
+            self.remaining[b, slot] = job.work_gcycles
+            running[b] = slot + 1
+            self.dispatched += 1
+            self.emit(canonical_event_line({
+                "t_us": t_us, "ev": "dispatch", "job": job.job_id,
+                "tank": choice.tank, "board": b}))
 
-        # --- progress, power, completions -----------------------------
-        # A stalled tank's boards progress 0.0, which leaves their jobs
-        # exactly as they were. ``work_done`` adds each slot's share in
-        # board-then-slot order: ``acc`` holds the running total then
-        # every slot's share (0.0 for an empty slot, which leaves the
-        # total unchanged), and cumsum adds them one after another
-        # (np.sum would pair terms and move the bits).
-        busy_per_tank = running.reshape(n_tanks, bpt).sum(axis=1).tolist()
-        end_us = t_us + step_us
-        progress = np.repeat(f_ghz * dt, bpt)
-        occupied = slot_index < running[:, None]
-        used.fill(0.0)
-        np.minimum(progress[:, None], remaining, out=used, where=occupied)
-        acc[0] = work_done
-        work_done = float(np.cumsum(acc)[-1])
-        remaining -= used
+    def progress(self, t_us: int, f_ghz: np.ndarray) -> list[int]:
+        """Progress and completions; returns each tank's busy slots.
+
+        A stalled tank's boards progress 0.0, which leaves their jobs
+        exactly as they were. ``work_done`` adds each slot's share in
+        board-then-slot order: ``acc`` holds the running total then
+        every slot's share (0.0 for an empty slot, which leaves the
+        total unchanged), and cumsum adds them one after another
+        (np.sum would pair terms and move the bits).
+        """
+        running, remaining, job_ids = (self.running, self.remaining,
+                                       self.job_ids)
+        busy_per_tank = running.reshape(self.n_tanks, self.bpt).sum(
+            axis=1).tolist()
+        end_us = t_us + self.step_us
+        progress = np.repeat(f_ghz * self.dt, self.bpt)
+        occupied = self.slot_index < running[:, None]
+        self.used.fill(0.0)
+        np.minimum(progress[:, None], remaining, out=self.used,
+                   where=occupied)
+        self.acc[0] = self.work_done
+        self.work_done = float(np.cumsum(self.acc)[-1])
+        remaining -= self.used
         finished = remaining <= 0.0
         finished &= occupied
         if finished.any():
             rows, cols = np.nonzero(finished)
             for job_id in job_ids[rows, cols].tolist():
-                emit(canonical_event_line(
+                self.emit(canonical_event_line(
                     {"t_us": end_us, "ev": "complete", "job": job_id}))
-            completed += len(rows)
-            running -= np.bincount(rows, minlength=n_boards)
-            if slots > 1:
+            self.completed += len(rows)
+            running -= np.bincount(rows, minlength=len(running))
+            if self.slots > 1:
                 # close the gaps: a stable sort moves each touched
                 # row's unfinished jobs to its front, in placement order
                 rows = np.unique(rows)
                 order = np.argsort(finished[rows], axis=1, kind="stable")
                 remaining[rows] = remaining[rows[:, None], order]
                 job_ids[rows] = job_ids[rows[:, None], order]
+        return busy_per_tank
 
-        # --- tank energy balance (explicit Euler, step-start temps) ---
-        # Faults enter as plain coefficient changes on the same update:
-        # dead/powered-off boards stop drawing (heat_in shrinks), a
-        # lost pump or isolated tank zeroes the exchange capacity rate,
-        # fouling scales it, and an isolated tank drops out of its
-        # neighbors' coupling sums (the loop reroutes around it). Every
-        # term stays evaluated at step start, so the generated ==
-        # removed + stored ledger closes under every fault type.
+    def balance(self, f_idx: list[int | None],
+                busy_per_tank: list[int]) -> None:
+        """Tank energy balance (explicit Euler, step-start temps).
+
+        Faults enter as plain coefficient changes on the same update:
+        dead/powered-off boards stop drawing (heat_in shrinks), a lost
+        pump or isolated tank zeroes the exchange capacity rate,
+        fouling scales it, and an isolated tank drops out of its
+        neighbors' coupling sums (the loop reroutes around it). Every
+        term stays evaluated at step start, so the generated ==
+        removed + stored ledger closes under every fault type.
+        """
+        ladder, cfg, water = self.ladder, self.cfg, self.water
+        isolated, n_tanks, bpt = self.isolated, self.n_tanks, self.bpt
+        supply, dt = cfg.supply_temp_c, self.dt
+        top_step = len(ladder.freqs_ghz) - 1
         prev = water[:]
         for i in range(n_tanks):
             idx = f_idx[i]
-            up = 0 if isolated[i] else bpt - dead_in_tank[i]
-            down_board_steps += bpt - up
+            up = 0 if isolated[i] else bpt - self.dead_in_tank[i]
+            self.down_board_steps += bpt - up
             if idx is None:
                 active_w = 0.0
-                stalled_steps += up
+                self.stalled_steps += up
             else:
                 active_w = busy_per_tank[i] * ladder.per_job_power_w[idx]
                 if idx < top_step:
-                    throttled_steps += up
-            it_power = up * cfg.idle_power_w + active_w
-            heat_in = it_power * dt
-            generated_j += heat_in
+                    self.throttled_steps += up
+            heat_in = (up * cfg.idle_power_w + active_w) * dt
+            self.generated_j += heat_in
             excess = 0.0
             for d in (-1, 1):    # nearest tank each way still on the loop
                 j = i + d
@@ -674,18 +709,18 @@ def _simulate_inner(scenario: FleetScenario,
                     j += d
                 if 0 <= j < n_tanks:
                     excess += max(0.0, prev[j] - supply)
-            inlet_eff = supply + coupling * excess
-            if isolated[i] or not pump_ok[i]:
+            inlet_eff = supply + cfg.coupling * excess
+            if isolated[i] or not self.pump_ok[i]:
                 cap_eff = 0.0
-            elif fouled[i]:
-                cap_eff = cap_rate * plan.fouling_factor
+            elif self.fouled[i]:
+                cap_eff = self.cap_rate * self.plan.fouling_factor
             else:
-                cap_eff = cap_rate
+                cap_eff = self.cap_rate
             removed = cap_eff * (prev[i] - inlet_eff) * dt
-            removed_j += removed
-            water[i] = prev[i] + (heat_in - removed) / heat_cap
-            if water[i] > peak_water[i]:
-                peak_water[i] = water[i]
+            self.removed_j += removed
+            water[i] = prev[i] + (heat_in - removed) / self.heat_cap
+            if water[i] > self.peak_water[i]:
+                self.peak_water[i] = water[i]
             if up > 0:
                 # worst-case die temperature this step (step-start
                 # water, the same basis as the DTM decision): active
@@ -694,92 +729,83 @@ def _simulate_inner(scenario: FleetScenario,
                 die_t = (prev[i] if idx is None
                          else ladder.ref_max_temp_c[idx]
                          + (prev[i] - ladder.ref_ambient_c))
-                if die_t > peak_board_temp:
-                    peak_board_temp = die_t
-        flush()
-    flush()
+                if die_t > self.peak_board_temp:
+                    self.peak_board_temp = die_t
 
-    stored_j = sum(heat_cap * (water[i] - supply)
-                   for i in range(n_tanks))
-    it_energy = generated_j
-    duration = n_steps * dt
-    account = EnergyAccount(
-        it_energy_j=it_energy,
-        cooling_energy_j=n_tanks * cfg.pump_power_w * duration,
-        other_energy_j=cfg.non_cooling_overhead_fraction * it_energy,
-        reused_energy_j=cfg.reuse_fraction * max(0.0, removed_j),
-    )
-    on_boards = job_ids[slot_index < running[:, None]].tolist()
-    completed_work = _completed_work(arrivals, on_boards, pending,
-                                     completed)
+    def report(self) -> FleetResult:
+        """The run's result; ``availability`` and ``incidents`` only
+        when the scenario carries a fault plan."""
+        cfg, n_steps, it_energy = self.cfg, self.n_steps, self.generated_j
+        stored_j = sum(self.heat_cap * (w - cfg.supply_temp_c)
+                       for w in self.water)
+        duration = n_steps * self.dt
+        account = EnergyAccount(
+            it_energy_j=it_energy,
+            cooling_energy_j=self.n_tanks * cfg.pump_power_w * duration,
+            other_energy_j=cfg.non_cooling_overhead_fraction * it_energy,
+            reused_energy_j=cfg.reuse_fraction * max(0.0, self.removed_j),
+        )
+        on_boards = self.job_ids[
+            self.slot_index < self.running[:, None]].tolist()
+        # Gcycles of fully finished jobs (vs. partial ``work_done``)
+        completed_work = 0.0
+        if self.completed:
+            unfinished = set(on_boards)
+            unfinished.update(j.job_id for j in self.pending)
+            completed_work = sum(j.work_gcycles for j in self.arrivals
+                                 if j.job_id not in unfinished)
 
-    # only the report depends on whether the scenario carries a plan
-    availability: dict[str, Any] | None = None
-    if scenario.faults is not None:
-        closed = [inc for inc in incidents
-                  if inc["t_end_us"] is not None]
-        mttr_h = None
-        if closed:
+        availability: dict[str, Any] | None = None
+        incidents = self.incidents
+        if self.scenario.faults is not None:
+            closed = [inc for inc in incidents
+                      if inc["t_end_us"] is not None]
             mttr_h = (sum(inc["t_end_us"] - inc["t_start_us"]
-                          for inc in closed) / len(closed) / 3.6e9)
-        by_kind: dict[str, int] = {}
-        for inc in incidents:
-            by_kind[inc["kind"]] = by_kind.get(inc["kind"], 0) + 1
-        availability = {
-            "availability": 1.0 - down_board_steps
-            / (n_boards * n_steps),
-            "board_steps_down": down_board_steps,
-            "board_steps_total": n_boards * n_steps,
-            "goodput_gcps": completed_work / duration,
-            "mttr_hours": mttr_h,
-            "incidents_total": len(incidents),
-            "incidents_open": len(incidents) - len(closed),
-            "repairs": len(closed),
-            "by_kind": dict(sorted(by_kind.items())),
-            "jobs_requeued": jobs_requeued,
-            "dtm_override_steps": dtm_override_steps,
-            "emergency_clamp_steps": emergency_clamp_steps,
-            "isolations": isolations,
-            "peak_board_temp_c": peak_board_temp,
-        }
+                          for inc in closed) / len(closed) / 3.6e9
+                      if closed else None)
+            by_kind = Counter(inc["kind"] for inc in incidents)
+            board_steps = cfg.n_boards * n_steps
+            availability = {
+                "availability": 1.0 - self.down_board_steps / board_steps,
+                "board_steps_down": self.down_board_steps,
+                "board_steps_total": board_steps,
+                "goodput_gcps": completed_work / duration,
+                "mttr_hours": mttr_h,
+                "incidents_total": len(incidents),
+                "incidents_open": len(incidents) - len(closed),
+                "repairs": len(closed),
+                "by_kind": dict(sorted(by_kind.items())),
+                "jobs_requeued": sum(inc["jobs_requeued"]
+                                     for inc in incidents),
+                "dtm_override_steps": self.dtm_override_steps,
+                "emergency_clamp_steps": self.emergency_clamp_steps,
+                "isolations": by_kind.get("tank_isolated", 0),
+                "peak_board_temp_c": self.peak_board_temp,
+            }
 
-    return FleetResult(
-        scenario=scenario,
-        steps=n_steps,
-        jobs_arrived=len(arrivals),
-        jobs_dispatched=dispatched,
-        jobs_completed=completed,
-        jobs_pending_end=len(pending),
-        jobs_running_end=len(on_boards),
-        work_done_gcycles=work_done,
-        completed_work_gcycles=completed_work,
-        account=account,
-        generated_j=generated_j,
-        removed_j=removed_j,
-        stored_j=stored_j,
-        max_water_temp_c=max(peak_water),
-        final_water_temp_c=tuple(water),
-        peak_water_temp_c=tuple(peak_water),
-        throttled_board_steps=throttled_steps,
-        stalled_board_steps=stalled_steps,
-        event_digest=digest.hexdigest(),
-        events=tuple(kept) if kept is not None else None,
-        availability=availability,
-        incidents=tuple(incidents),
-    )
-
-
-def _completed_work(arrivals: Sequence[FleetJob],
-                    on_boards: Sequence[int],
-                    pending: Sequence[FleetJob],
-                    completed: int) -> float:
-    """Gcycles of fully finished jobs (vs. partial ``work_done``)."""
-    if not completed:
-        return 0.0
-    unfinished = set(on_boards)
-    unfinished.update(j.job_id for j in pending)
-    return sum(j.work_gcycles for j in arrivals
-               if j.job_id not in unfinished)
+        return FleetResult(
+            scenario=self.scenario,
+            steps=n_steps,
+            jobs_arrived=len(self.arrivals),
+            jobs_dispatched=self.dispatched,
+            jobs_completed=self.completed,
+            jobs_pending_end=len(self.pending),
+            jobs_running_end=len(on_boards),
+            work_done_gcycles=self.work_done,
+            completed_work_gcycles=completed_work,
+            account=account,
+            generated_j=self.generated_j,
+            removed_j=self.removed_j,
+            stored_j=stored_j,
+            max_water_temp_c=max(self.peak_water),
+            final_water_temp_c=tuple(self.water),
+            peak_water_temp_c=tuple(self.peak_water),
+            throttled_board_steps=self.throttled_steps,
+            stalled_board_steps=self.stalled_steps,
+            event_digest=self.digest.hexdigest(),
+            availability=availability,
+            incidents=tuple(incidents),
+        )
 
 
 # ---------------------------------------------------------------------------

@@ -165,7 +165,8 @@ def get_floorplan(name: str) -> Floorplan:
 
     Cached: floorplans are immutable, and re-validating the O(blocks^2)
     overlap invariant on every lookup dominated the pipeline profile
-    (see scripts/profile_solver.py).
+    (``python3 perfbench/run.py --workload campaign_cold --seed 1
+    --seconds 5 --trace 1`` prints the per-layer split).
     """
     from ..errors import FloorplanError
     try:

@@ -124,8 +124,7 @@ class RetryOutcome:
 
 def with_retry(fn: Callable[[], Any], *,
                policy: RetryPolicy | None = None,
-               sleep: Callable[[float], None] | None = None,
-               classify: Callable[[BaseException], str] = classify_error
+               sleep: Callable[[float], None] | None = None
                ) -> RetryOutcome:
     """Call ``fn`` under the retry policy.
 
@@ -138,7 +137,6 @@ def with_retry(fn: Callable[[], Any], *,
         fn: zero-argument callable (close over the real arguments).
         policy: retry policy (default :class:`RetryPolicy`).
         sleep: backoff sleep function; injectable so tests don't wait.
-        classify: error classifier (exposed for custom policies).
     """
     if policy is None:
         policy = RetryPolicy()
@@ -150,7 +148,8 @@ def with_retry(fn: Callable[[], Any], *,
         try:
             value = fn()
         except BaseException as exc:
-            if classify(exc) != "retry" or attempt == policy.max_attempts:
+            if (classify_error(exc) != "retry"
+                    or attempt == policy.max_attempts):
                 raise
             counter("resilience.retries").inc()
             log_event("retry", attempt=attempt,

@@ -31,19 +31,8 @@ __all__ = [
     "Job",
     "JobState",
     "ServeRequest",
-    "canonical_spec_dict",
     "spec_hash",
 ]
-
-
-def canonical_spec_dict(value: Any) -> Any:
-    """Recursively normalize a JSON-ish config for hashing.
-
-    Delegates to :func:`repro.obs.canonical_config`, the normalization
-    run manifests hash through. Kept as a re-export
-    because the serving layer's public API grew up around this name.
-    """
-    return canonical_config(value)
 
 
 def spec_hash(spec: ExperimentSpec | Any) -> str:
@@ -53,7 +42,7 @@ def spec_hash(spec: ExperimentSpec | Any) -> str:
     specs and fleet scenarios alike — as does a raw dict.
     """
     d = spec.to_dict() if hasattr(spec, "to_dict") else dict(spec)
-    return config_hash(canonical_spec_dict(d))
+    return config_hash(canonical_config(d))
 
 
 @dataclass(frozen=True)

@@ -36,26 +36,25 @@ class TestFormatTable:
 
 class TestChecks:
     def test_quantitative_pass(self):
-        c = Check.quantitative("x", paper=10.0, measured=10.5,
-                               tolerance=1.0)
-        assert c.passed
+        c = Check("x", paper=10.0, measured=10.5, passed=True)
+        assert c.render() == "[PASS] x: paper=10 measured=10.5"
 
     def test_quantitative_fail(self):
-        c = Check.quantitative("x", paper=10.0, measured=15.0,
-                               tolerance=1.0)
-        assert not c.passed
-        assert "DEVIATION" in c.render()
+        c = Check("x", paper=10.0, measured=15.0, passed=False,
+                  note="window [9, 11]")
+        assert c.render() == ("[DEVIATION] x: paper=10 measured=15"
+                              "  (window [9, 11])")
 
     def test_qualitative(self):
-        c = Check.qualitative("ordering", measured=1.0, passed=True,
-                              note="water beats oil")
-        assert c.passed
-        assert "water beats oil" in c.render()
+        c = Check("ordering", paper=None, measured=1.0, passed=True,
+                  note="water beats oil")
+        assert c.render() == ("[PASS] ordering: paper=-- measured=1"
+                              "  (water beats oil)")
 
     def test_report_counts(self):
         r = ValidationReport("fig-x")
-        r.add(Check.quantitative("a", 1.0, 1.0, 0.1))
-        r.add(Check.quantitative("b", 1.0, 5.0, 0.1))
+        r.add(Check("a", 1.0, 1.0, True))
+        r.add(Check("b", 1.0, 5.0, False))
         assert (r.passed, r.total) == (1, 2)
         assert "1/2" in r.render()
 

@@ -9,7 +9,6 @@ from repro.cooling import (
     FACILITIES,
     NATURAL_WATER_DIRECT,
     OIL_IMMERSION,
-    OIL_IMMERSION_FACILITY,
     PAPER_ORDER,
     WATER_IMMERSION,
     WATER_PIPE,
@@ -22,7 +21,6 @@ from repro.cooling import (
     get_cooling,
     pue_comparison,
 )
-from repro.datasets import paper
 from repro.errors import ConfigurationError
 from repro.thermal.coolants import WATER
 from repro.thermal.materials import PARYLENE
@@ -92,16 +90,6 @@ class TestCoolingOptions:
 
 
 class TestPue:
-    def test_natural_water_pue_near_one(self):
-        # Section 4.4: "a PUE of approximately 1.00".
-        assert NATURAL_WATER_DIRECT.pue() == pytest.approx(
-            paper.NATURAL_WATER_PUE, abs=0.01)
-
-    def test_oil_immersion_pue_near_reported(self):
-        # Green Revolution Cooling white paper: PUE as low as 1.03.
-        assert OIL_IMMERSION_FACILITY.pue() == pytest.approx(
-            paper.OIL_IMMERSION_PUE_REPORTED, abs=0.08)
-
     def test_air_pue_worst(self):
         pues = pue_comparison()
         assert max(pues, key=pues.get) == "air-cooled (CRAC + chiller)"

@@ -141,8 +141,9 @@ class TestEventQueue:
             (0, "step"), (50, "step"), (100, "arrival"), (100, "stop")]
 
     def test_canonical_line_is_key_sorted_and_compact(self):
-        line = canonical_event_line({"b": 1, "a": {"d": 2, "c": 3}})
-        assert line == '{"a":{"c":3,"d":2},"b":1}'
+        line = canonical_event_line(
+            {"t_us": 30, "ev": "dispatch", "job": 4, "tank": 1, "board": 9})
+        assert line == '{"board":9,"ev":"dispatch","job":4,"t_us":30,"tank":1}'
 
 
 def _dumps(record):
@@ -182,7 +183,7 @@ _EVENT_RECORDS = {
         "t_us": _INTS, "ev": st.just("deisolate"), "tank": _INTS}),
 }
 
-#: one record of each shape, for the fallback cases
+#: one record of each shape the simulator emits
 _EXAMPLE_RECORDS = {
     "arrival": {"t_us": 30, "ev": "arrival", "job": 4, "work": 600.5},
     "dispatch": {"t_us": 30, "ev": "dispatch", "job": 4, "tank": 1,
@@ -210,27 +211,22 @@ class TestEventLines:
         assert fast == _dumps(record)
         assert canonical_event_line(record) == fast
 
-    @pytest.mark.parametrize("shape", sorted(_EXAMPLE_RECORDS))
-    @pytest.mark.parametrize("change", [
-        {"extra": 1}, {"t_us": {"nested": {"b": 2, "a": 1}}},
-        {"t_us": True}, {"t_us": 3.0}])
-    def test_other_shapes_fall_back_to_json(self, shape, change):
-        record = {**_EXAMPLE_RECORDS[shape], **change}
-        assert fleet_events._RENDERERS[record["ev"]](record) is None
-        assert canonical_event_line(record) == _dumps(record)
+    def test_unknown_kind_raises(self):
+        for record in ({"t_us": 1, "ev": "meteor"}, {"t_us": 1}):
+            with pytest.raises(ValueError, match="not a fleet event"):
+                canonical_event_line(record)
 
-    @pytest.mark.parametrize("record", [
-        {"t_us": 1, "ev": "arrival", "job": 1, "work": float("nan")},
-        {"t_us": 1, "ev": "arrival", "job": 1, "work": float("-inf")},
-        {"t_us": 1, "ev": "fault", "kind": 'pump"loss', "scope": "tank",
-         "idx": 0},
-        {"t_us": 1, "ev": "repair", "kind": "fouling", "scope": "rack",
-         "idx": 0},
-        {"t_us": 1, "ev": "meteor"},
-        {"ev": ["arrival"]},
-    ])
-    def test_values_json_renders_differently_fall_back(self, record):
-        assert canonical_event_line(record) == _dumps(record)
+    @pytest.mark.parametrize("shape", sorted(_EXAMPLE_RECORDS))
+    def test_missing_or_extra_key_raises(self, shape):
+        record = _EXAMPLE_RECORDS[shape]
+        with pytest.raises(ValueError, match="not a fleet event"):
+            canonical_event_line({**record, "extra": 1})
+        # a fault without ``requeued`` is a record of the repair shape
+        optional = {"requeued"} if shape == "fault" else set()
+        for key in set(record) - optional:
+            short = {k: v for k, v in record.items() if k != key}
+            with pytest.raises(ValueError, match="not a fleet event"):
+                canonical_event_line(short)
 
 
 # ---------------------------------------------------------------------------
@@ -566,10 +562,8 @@ class TestDeterminism:
         results = []
         for p in paths:
             with open(p, "w", encoding="utf-8") as fh:
-                results.append(simulate(SMALL, events_file=fh,
-                                         keep_events=True))
+                results.append(simulate(SMALL, events_file=fh))
         assert paths[0].read_bytes() == paths[1].read_bytes()
-        assert results[0].events == results[1].events
         assert results[0].event_digest == results[1].event_digest
         assert results[0].to_json() == results[1].to_json()
 
@@ -579,12 +573,11 @@ class TestDeterminism:
         b = simulate(replace(SMALL, seed=SMALL.seed + 1))
         assert a.event_digest != b.event_digest
 
-    def test_streamed_log_matches_kept_events(self, tmp_path):
+    def test_streamed_log_matches_event_digest(self, tmp_path):
         p = tmp_path / "ev.jsonl"
         with open(p, "w", encoding="utf-8") as fh:
-            r = simulate(SMALL, events_file=fh, keep_events=True)
-        lines = p.read_text(encoding="utf-8").splitlines()
-        assert tuple(lines) == r.events
+            r = simulate(SMALL, events_file=fh)
+        assert hashlib.sha256(p.read_bytes()).hexdigest() == r.event_digest
 
     def test_worker_count_byte_identity(self):
         """Satellite guarantee: the campaign document is byte-identical
@@ -752,10 +745,9 @@ class TestBytePins:
         monkeypatch.setattr(fleet_sim, "build_board_ladder",
                             _rounded_ladder)
         stream = io.StringIO()
-        r = simulate(_pin_scenario(key), events_file=stream,
-                     keep_events=True)
-        log = "".join(line + "\n" for line in r.events)
-        assert stream.getvalue() == log
+        r = simulate(_pin_scenario(key), events_file=stream)
+        log = stream.getvalue()
+        assert _sha256(log) == r.event_digest
         assert (_sha256(r.to_json()), _sha256(log)) == FLEET_BYTE_PINS[key]
 
 

@@ -10,7 +10,9 @@ The acceptance surface of the fault layer:
   byte identity through the wire form);
 * the energy ledger closing (< 1e-6 relative) across fault types x
   policies x seeds, including mid-run board retirement and tank
-  isolation;
+  isolation, after every step as well as at the end of a run;
+* every logged line, fault-free and under every fault kind, equal to
+  its own canonical ``json.dumps`` re-dump;
 * incident response: jobs requeued and re-placed, pump loss handled
   by the emergency DTM clamp and tank isolation so no board crosses
   the threshold (and demonstrably *does* without isolation), sensor
@@ -23,6 +25,7 @@ The acceptance surface of the fault layer:
 
 from __future__ import annotations
 
+import io
 import json
 import math
 from dataclasses import replace
@@ -41,6 +44,7 @@ from repro.fleet import (
     incident_ledger_entries,
     simulate,
 )
+from repro.fleet import sim as fleet_sim
 
 WORKLOAD = WorkloadConfig(rate_per_s=0.3, work_gcycles=400.0)
 
@@ -61,6 +65,13 @@ RUNAWAY_FLEET = FleetConfig(
 RUNAWAY_WORKLOAD = WorkloadConfig(rate_per_s=0.5, work_gcycles=900.0)
 PUMP_ONLY = FleetFaultPlan(pump_loss_per_tank_hour=0.8,
                            pump_repair_hours=48.0)
+#: every fault process on the runaway plant: with seed 4 over four
+#: hours each fault kind fires, and a pump loss isolates a tank that
+#: its repair then reopens
+RUNAWAY_ALL_FAULTS = FleetFaultPlan(
+    aging_years_per_sim_hour=1.0, chip_mttf_years=8.0,
+    pump_loss_per_tank_hour=0.8, pump_repair_hours=3.0,
+    fouling_per_tank_hour=0.3, sensor_fault_per_tank_hour=0.5)
 
 
 def small_scenario(plan=None, *, policy="thermal-aware", seed=11,
@@ -77,6 +88,13 @@ def runaway_scenario(plan, *, seed=3, hours=6.0):
                          faults=plan)
 
 
+def simulate_logged(scenario):
+    """``(result, event-log lines)``, the log read from the stream."""
+    stream = io.StringIO()
+    result = simulate(scenario, events_file=stream)
+    return result, stream.getvalue().splitlines()
+
+
 class TestFaultPlan:
     def test_null_plan_normalized_away(self):
         sc = small_scenario(FleetFaultPlan())
@@ -84,11 +102,10 @@ class TestFaultPlan:
         assert "faults" not in sc.to_dict()
 
     def test_zero_rate_plan_reproduces_baseline_bytes(self):
-        base = simulate(small_scenario(None), keep_events=True)
-        zero = simulate(small_scenario(FleetFaultPlan()),
-                        keep_events=True)
+        base, base_log = simulate_logged(small_scenario(None))
+        zero, zero_log = simulate_logged(small_scenario(FleetFaultPlan()))
         assert base.to_json() == zero.to_json()
-        assert base.events == zero.events
+        assert base_log == zero_log
         assert base.availability is None and zero.availability is None
 
     def test_wire_round_trip(self):
@@ -135,10 +152,10 @@ class TestFaultPlan:
         assert generate_fault_timeline(
             plan, fleet, faulted.seed,
             faulted.n_steps * fleet.step_s) == ()
-        base = simulate(base_sc, keep_events=True)
-        live = simulate(faulted, keep_events=True)
+        base, base_log = simulate_logged(base_sc)
+        live, live_log = simulate_logged(faulted)
         assert base.stalled_board_steps > 0
-        assert live.events == base.events
+        assert live_log == base_log
         assert live.event_digest == base.event_digest
         skip = {"scenario", "availability", "incidents"}
         want = {k: v for k, v in base.to_dict().items() if k not in skip}
@@ -226,9 +243,9 @@ class TestTimeline:
 class TestFaultedDeterminism:
     def test_same_seed_byte_identity(self):
         sc = small_scenario(ALL_FAULTS)
-        a = simulate(sc, keep_events=True)
-        b = simulate(sc, keep_events=True)
-        assert a.events == b.events
+        a, a_log = simulate_logged(sc)
+        b, b_log = simulate_logged(sc)
+        assert a_log == b_log
         assert a.event_digest == b.event_digest
         assert a.to_json() == b.to_json()
 
@@ -252,13 +269,70 @@ class TestFaultedDeterminism:
         assert doc == type(self)._reference
 
     def test_fault_events_in_canonical_log(self):
-        r = simulate(small_scenario(ALL_FAULTS), keep_events=True)
-        kinds = {json.loads(line)["ev"] for line in r.events}
+        _, log = simulate_logged(small_scenario(ALL_FAULTS))
+        kinds = {json.loads(line)["ev"] for line in log}
         assert "fault" in kinds and "repair" in kinds
-        for line in r.events:
+        for line in log:
             rec = json.loads(line)
             if rec["ev"] == "fault":
                 assert rec["kind"] in FLEET_FAULT_KINDS
+
+
+def every_kind_scenario():
+    return runaway_scenario(RUNAWAY_ALL_FAULTS, seed=4, hours=4.0)
+
+
+class TestStepLedger:
+    """The ledger closes after every tank-balance phase, not only at
+    the end of the run: generated == removed + stored each step."""
+
+    @pytest.mark.parametrize("name", ["fault-free", "all-faults",
+                                      "every-kind-with-isolation"])
+    def test_ledger_closes_after_every_step(self, name, monkeypatch):
+        scenario = {"fault-free": small_scenario(None),
+                    "all-faults": small_scenario(ALL_FAULTS),
+                    "every-kind-with-isolation": every_kind_scenario(),
+                    }[name]
+        balance = fleet_sim.FleetState.balance
+        heat_cap = scenario.fleet.tank_heat_capacity_j_k()
+        supply = scenario.fleet.supply_temp_c
+        residuals = []
+
+        def balance_then_check(state, *args):
+            balance(state, *args)
+            generated = state.generated_j
+            stored = sum(heat_cap * (w - supply) for w in state.water)
+            residuals.append(abs(generated - state.removed_j - stored)
+                             / max(generated, 1.0))
+
+        monkeypatch.setattr(fleet_sim.FleetState, "balance",
+                            balance_then_check)
+        r = simulate(scenario)
+        assert len(residuals) == r.steps
+        assert max(residuals) < 1e-6
+        if name == "every-kind-with-isolation":
+            assert set(r.availability["by_kind"]) == {
+                *FLEET_FAULT_KINDS, "tank_isolated"}
+
+
+class TestCanonicalLines:
+    """Every logged line is its own canonical JSON re-dump."""
+
+    @pytest.mark.parametrize("name", ["fault-free",
+                                      "every-kind-with-isolation"])
+    def test_lines_equal_their_json_redump(self, name):
+        scenario = (small_scenario(None) if name == "fault-free"
+                    else every_kind_scenario())
+        _, log = simulate_logged(scenario)
+        kinds = set()
+        for line in log:
+            record = json.loads(line)
+            kinds.add(record["ev"])
+            assert line == json.dumps(record, sort_keys=True,
+                                      separators=(",", ":"))
+        assert {"arrival", "dispatch", "complete"} <= kinds
+        if name == "every-kind-with-isolation":
+            assert {"fault", "repair", "isolate", "deisolate"} <= kinds
 
 
 class TestConservationUnderFaults:

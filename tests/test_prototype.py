@@ -35,22 +35,6 @@ class TestBoardModel:
     def model(self):
         return PrototypeBoardModel()
 
-    def test_fig4_air(self, model):
-        assert model.junction_c("air") == pytest.approx(
-            paper.FIG4_TEMPERATURES_C["air"], abs=1.0)
-
-    def test_fig4_heatsink_in_water(self, model):
-        assert model.junction_c("heatsink_in_water") == pytest.approx(
-            paper.FIG4_TEMPERATURES_C["heatsink_in_water"], abs=1.0)
-
-    def test_fig4_full_immersion(self, model):
-        assert model.junction_c("full_immersion") == pytest.approx(
-            paper.FIG4_TEMPERATURES_C["full_immersion"], abs=1.0)
-
-    def test_abstract_20c_gain(self, model):
-        assert model.immersion_gain_c() == pytest.approx(
-            paper.ABSTRACT_IMMERSION_GAIN_C, abs=1.0)
-
     def test_sink_cooler_than_junction(self, model):
         for s in SCENARIOS:
             sol = model.solve(s)

@@ -142,12 +142,6 @@ class TestStrictSpec:
         assert "'chips'" in str(exc.value)
         assert "'colling'" in str(exc.value)
 
-    def test_non_strict_drops_unknown_keys(self):
-        spec = ExperimentSpec.from_dict(
-            {"chip": "low-power-cmp", "coolant": "water"}, strict=False)
-        assert spec.chip == "low-power-cmp"
-        assert spec.cooling == "water"  # the default, not the typo
-
     def test_round_trip_still_works(self):
         spec = fast_spec()
         assert ExperimentSpec.from_dict(spec.to_dict()) == spec
